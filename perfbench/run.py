@@ -3,7 +3,7 @@
 
 Run from the root of a checkout:
 
-    python3 perfbench/run.py --workload churn_write --seed 1 --seconds 20 \
+    python3 perfbench/run.py --workload churn_write --seed 1 --seconds 25 \
         --trace 0
 
 The first call configures and builds perfbench/ (which compiles the topkpkg
