@@ -1,6 +1,7 @@
 #include "topkpkg/recsys/recommender.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "topkpkg/common/serde.h"
@@ -565,7 +566,10 @@ Result<RoundLog> PackageRecommender::RunRound(const SimulatedUser& user) {
 
 namespace {
 
-constexpr std::uint8_t kMetaVersion = 1;
+// Checkpoint record format. Version 1 was the meta record of the old
+// five-record layout (parity kind slots, meta written last), which shares
+// the record kind; a store still holding one is refused, not migrated.
+constexpr std::uint8_t kCheckpointVersion = 2;
 
 void PutPackageList(ByteWriter& w, const std::vector<model::Package>& list) {
   w.PutU32(static_cast<std::uint32_t>(list.size()));
@@ -618,133 +622,92 @@ std::string PackageRecommender::ConfigFingerprint() const {
 
 Status PackageRecommender::Checkpoint(storage::SessionStore& store,
                                       std::uint64_t session_id) const {
-  const std::uint64_t seq = ++checkpoint_seq_;
-  // Crash-atomicity: the state records alternate between two kind slots by
-  // sequence parity (storage::GenSlotKind) and carry the sequence as a
-  // payload prefix; the meta record — one atomic append, written last —
-  // commits the sequence and thereby selects the slot. A crash anywhere
-  // mid-checkpoint only ever dirties the slot the *next* generation owns,
-  // so Restore always finds the last committed generation intact.
-  auto wrap = [seq](std::string payload) {
-    ByteWriter w;
-    w.PutU64(seq);
-    std::string out = std::move(w).Take();
-    out += payload;
-    return out;
-  };
-  TOPKPKG_RETURN_IF_ERROR(
-      store.Put(session_id,
-                storage::GenSlotKind(storage::kKindPreferenceSet, seq),
-                wrap(storage::EncodePreferenceSet(feedback_))));
-  TOPKPKG_RETURN_IF_ERROR(
-      store.Put(session_id,
-                storage::GenSlotKind(storage::kKindSamplePool, seq),
-                wrap(storage::EncodeSamplePool(pool_))));
-  TOPKPKG_RETURN_IF_ERROR(
-      store.Put(session_id,
-                storage::GenSlotKind(storage::kKindTopListCache, seq),
-                wrap(storage::EncodeTopListCache(ranker_))));
-  TOPKPKG_RETURN_IF_ERROR(
-      store.Put(session_id,
-                storage::GenSlotKind(storage::kKindRoundHistory, seq),
-                wrap(storage::EncodeRoundHistory(history_))));
-  ByteWriter meta;
-  meta.PutU8(kMetaVersion);
-  meta.PutU64(seq);
-  meta.PutString(ConfigFingerprint());
-  meta.PutString(rng_.SaveState());
-  PutPackageList(meta, current_top_k_);
-  // Sets serialize sorted so equal states checkpoint to equal bytes.
-  std::vector<std::string> seen(seen_constraint_keys_.begin(),
-                                seen_constraint_keys_.end());
-  std::sort(seen.begin(), seen.end());
-  meta.PutU32(static_cast<std::uint32_t>(seen.size()));
-  for (const std::string& key : seen) meta.PutString(key);
-  std::vector<sampling::SampleId> fallback(fallback_sample_ids_.begin(),
-                                           fallback_sample_ids_.end());
-  std::sort(fallback.begin(), fallback.end());
-  meta.PutU32(static_cast<std::uint32_t>(fallback.size()));
-  for (sampling::SampleId id : fallback) meta.PutU64(id);
-  TOPKPKG_RETURN_IF_ERROR(store.Put(session_id, storage::kKindRecommenderMeta,
-                                    std::move(meta).Take()));
-  return store.Flush();
+  return storage::PutCheckpoint(store, session_id, EncodeCheckpoint());
 }
 
 Status PackageRecommender::Restore(const storage::SessionStore& store,
                                    std::uint64_t session_id) {
-  TOPKPKG_ASSIGN_OR_RETURN(
-      std::string meta_bytes,
-      store.Get(session_id, storage::kKindRecommenderMeta));
-  ByteReader meta(meta_bytes);
-  TOPKPKG_ASSIGN_OR_RETURN(std::uint8_t version, meta.GetU8());
-  if (version != kMetaVersion) {
-    return Status::Unimplemented(
-        "PackageRecommender::Restore: meta record version " +
-        std::to_string(version) + "; this build reads version " +
-        std::to_string(kMetaVersion));
+  TOPKPKG_ASSIGN_OR_RETURN(std::optional<std::string> bytes,
+                           storage::GetCheckpoint(store, session_id));
+  if (!bytes.has_value()) {
+    return Status::NotFound("PackageRecommender::Restore: no checkpoint for "
+                            "session " + std::to_string(session_id));
   }
-  TOPKPKG_ASSIGN_OR_RETURN(std::uint64_t seq, meta.GetU64());
-  TOPKPKG_ASSIGN_OR_RETURN(std::string fingerprint, meta.GetString());
+  return RestoreCheckpoint(*bytes);
+}
+
+std::string PackageRecommender::EncodeCheckpoint() const {
+  ByteWriter w;
+  w.PutU8(kCheckpointVersion);
+  w.PutString(ConfigFingerprint());
+  w.PutString(rng_.SaveState());
+  PutPackageList(w, current_top_k_);
+  // Sets serialize sorted so equal states checkpoint to equal bytes.
+  std::vector<std::string> seen(seen_constraint_keys_.begin(),
+                                seen_constraint_keys_.end());
+  std::sort(seen.begin(), seen.end());
+  w.PutU32(static_cast<std::uint32_t>(seen.size()));
+  for (const std::string& key : seen) w.PutString(key);
+  std::vector<sampling::SampleId> fallback(fallback_sample_ids_.begin(),
+                                           fallback_sample_ids_.end());
+  std::sort(fallback.begin(), fallback.end());
+  w.PutU32(static_cast<std::uint32_t>(fallback.size()));
+  for (sampling::SampleId id : fallback) w.PutU64(id);
+  w.PutString(storage::EncodePreferenceSet(feedback_));
+  w.PutString(storage::EncodeSamplePool(pool_));
+  w.PutString(storage::EncodeTopListCache(ranker_));
+  w.PutString(storage::EncodeRoundHistory(history_));
+  return std::move(w).Take();
+}
+
+Status PackageRecommender::RestoreCheckpoint(const std::string& bytes) {
+  ByteReader r(bytes);
+  TOPKPKG_ASSIGN_OR_RETURN(std::uint8_t version, r.GetU8());
+  if (version != kCheckpointVersion) {
+    return Status::Unimplemented(
+        "PackageRecommender::Restore: checkpoint record version " +
+        std::to_string(version) + "; this build reads version " +
+        std::to_string(kCheckpointVersion));
+  }
+  TOPKPKG_ASSIGN_OR_RETURN(std::string fingerprint, r.GetString());
   if (fingerprint != ConfigFingerprint()) {
     return Status::InvalidArgument(
         "PackageRecommender::Restore: checkpoint was written by a "
         "differently configured recommender (" +
         fingerprint + " vs " + ConfigFingerprint() + ")");
   }
-  TOPKPKG_ASSIGN_OR_RETURN(std::string rng_state, meta.GetString());
+  TOPKPKG_ASSIGN_OR_RETURN(std::string rng_state, r.GetString());
   TOPKPKG_ASSIGN_OR_RETURN(std::vector<model::Package> top_k,
-                           GetPackageList(meta));
-  TOPKPKG_ASSIGN_OR_RETURN(std::uint32_t num_seen, meta.GetU32());
+                           GetPackageList(r));
+  TOPKPKG_ASSIGN_OR_RETURN(std::uint32_t num_seen, r.GetU32());
   std::vector<std::string> seen;
-  seen.reserve(std::min<std::size_t>(num_seen, meta.remaining()));
+  seen.reserve(std::min<std::size_t>(num_seen, r.remaining()));
   for (std::uint32_t i = 0; i < num_seen; ++i) {
-    TOPKPKG_ASSIGN_OR_RETURN(std::string key, meta.GetString());
+    TOPKPKG_ASSIGN_OR_RETURN(std::string key, r.GetString());
     seen.push_back(std::move(key));
   }
-  TOPKPKG_ASSIGN_OR_RETURN(std::uint32_t num_fallback, meta.GetU32());
+  TOPKPKG_ASSIGN_OR_RETURN(std::uint32_t num_fallback, r.GetU32());
   std::vector<sampling::SampleId> fallback;
-  fallback.reserve(std::min<std::size_t>(num_fallback, meta.remaining()));
+  fallback.reserve(std::min<std::size_t>(num_fallback, r.remaining()));
   for (std::uint32_t i = 0; i < num_fallback; ++i) {
-    TOPKPKG_ASSIGN_OR_RETURN(sampling::SampleId id, meta.GetU64());
+    TOPKPKG_ASSIGN_OR_RETURN(sampling::SampleId id, r.GetU64());
     fallback.push_back(id);
   }
-
-  // The state records live in the kind slot the meta's sequence selects; a
-  // torn later checkpoint only dirtied the other slot, so these are the
-  // committed generation. A sequence prefix disagreeing with the meta
-  // record can therefore only mean an externally damaged store.
-  auto unwrap = [&](storage::RecordKind kind,
-                    const char* what) -> Result<std::string> {
-    TOPKPKG_ASSIGN_OR_RETURN(
-        std::string bytes,
-        store.Get(session_id, storage::GenSlotKind(kind, seq)));
-    ByteReader r(bytes);
-    TOPKPKG_ASSIGN_OR_RETURN(std::uint64_t got, r.GetU64());
-    if (got != seq) {
-      return Status::FailedPrecondition(
-          std::string("PackageRecommender::Restore: inconsistent store — ") +
-          what + " record is from checkpoint " + std::to_string(got) +
-          " but the meta record committed checkpoint " + std::to_string(seq));
-    }
-    return bytes.substr(sizeof(std::uint64_t));
-  };
-  TOPKPKG_ASSIGN_OR_RETURN(
-      std::string pref_bytes,
-      unwrap(storage::kKindPreferenceSet, "preference-set"));
+  TOPKPKG_ASSIGN_OR_RETURN(std::string pref_bytes, r.GetString());
   TOPKPKG_ASSIGN_OR_RETURN(pref::PreferenceSet feedback,
                            storage::DecodePreferenceSet(pref_bytes));
-  TOPKPKG_ASSIGN_OR_RETURN(std::string pool_bytes,
-                           unwrap(storage::kKindSamplePool, "sample-pool"));
+  TOPKPKG_ASSIGN_OR_RETURN(std::string pool_bytes, r.GetString());
   TOPKPKG_ASSIGN_OR_RETURN(sampling::SamplePool pool,
                            storage::DecodeSamplePool(pool_bytes));
-  TOPKPKG_ASSIGN_OR_RETURN(
-      std::string cache_bytes,
-      unwrap(storage::kKindTopListCache, "top-list-cache"));
-  TOPKPKG_ASSIGN_OR_RETURN(
-      std::string history_bytes,
-      unwrap(storage::kKindRoundHistory, "round-history"));
+  TOPKPKG_ASSIGN_OR_RETURN(std::string cache_bytes, r.GetString());
+  TOPKPKG_ASSIGN_OR_RETURN(std::string history_bytes, r.GetString());
   TOPKPKG_ASSIGN_OR_RETURN(std::vector<RoundLog> history,
                            storage::DecodeRoundHistory(history_bytes));
+  if (!r.AtEnd()) {
+    return Status::InvalidArgument(
+        "PackageRecommender::Restore: " + std::to_string(r.remaining()) +
+        " trailing bytes after the checkpoint record");
+  }
 
   // Everything parsed; commit. The rng state is validated into a local
   // first and the cache decode (the last step that can fail — it parses
@@ -764,7 +727,6 @@ Status PackageRecommender::Restore(const storage::SessionStore& store,
   seen_constraint_keys_.insert(seen.begin(), seen.end());
   fallback_sample_ids_.clear();
   fallback_sample_ids_.insert(fallback.begin(), fallback.end());
-  checkpoint_seq_ = seq;
   return Status::OK();
 }
 

@@ -172,17 +172,25 @@ class PackageRecommender {
   // bit-identical recommendations, survivors reused, top lists served from
   // the warm cache instead of a cold full redraw.
   //
-  // Checkpoints are crash-atomic as a unit: the state records alternate
-  // between two kind slots by checkpoint parity and the meta record — one
-  // atomic append, written last — commits the sequence that selects the
-  // slot, so a crash anywhere mid-Checkpoint only dirties the slot the
-  // *next* generation owns and Restore falls back to the last committed
-  // checkpoint. FailedPrecondition is reserved for stores whose committed
-  // slot was damaged externally.
+  // A checkpoint is one record (storage::kKindCheckpoint): Checkpoint is
+  // storage::PutCheckpoint of EncodeCheckpoint(), Restore
+  // storage::GetCheckpoint plus RestoreCheckpoint (NotFound when the
+  // session has no checkpoint). The record log's CRC and torn-tail truncation make
+  // that append all-or-nothing, so a crash anywhere mid-Checkpoint leaves
+  // the previous record live and Restore returns the last committed
+  // generation. A record of another checkpoint version fails
+  // Unimplemented; old layouts are never migrated.
   Status Checkpoint(storage::SessionStore& store,
                     std::uint64_t session_id) const;
   Status Restore(const storage::SessionStore& store,
                  std::uint64_t session_id);
+
+  // The checkpoint record's bytes, and their inverse. Neither touches a
+  // store, so a caller serializing store access (SessionManager) encodes
+  // and decodes outside its store lock. RestoreCheckpoint is all-or-nothing:
+  // on any error the recommender is left exactly as it was.
+  std::string EncodeCheckpoint() const;
+  Status RestoreCheckpoint(const std::string& bytes);
 
  private:
   Result<std::vector<sampling::WeightedSample>> DrawSamples(
@@ -223,8 +231,6 @@ class PackageRecommender {
   pref::PreferenceSet feedback_;
   std::vector<model::Package> current_top_k_;
   std::vector<RoundLog> history_;
-  // Monotone per-session checkpoint counter (the torn-checkpoint detector).
-  mutable std::uint64_t checkpoint_seq_ = 0;
   // Incremental-engine state: the cross-round sample pool and the stateful
   // ranker holding the SampleId-keyed top-list cache.
   sampling::SamplePool pool_;

@@ -1,6 +1,8 @@
 #include "topkpkg/serving/session_manager.h"
 
 #include <chrono>
+#include <optional>
+#include <string>
 #include <utility>
 
 #include "topkpkg/storage/codec.h"
@@ -165,12 +167,11 @@ SessionManager::~SessionManager() {
   owned_pool_.reset();
   // Persist whatever is still resident and dirty. Destruction cannot report
   // errors; sessions that fail to checkpoint keep their previous durable
-  // state (Checkpoint is crash-atomic, so the store is never left torn).
-  std::lock_guard<std::mutex> store_lock(store_mu_);
+  // state (a checkpoint is one record, so the store is never left torn).
   for (auto& [id, s] : sessions_) {
     if (s->rec != nullptr) {
       if (s->dirty) {
-        s->rec->Checkpoint(*store_, id).ok();  // Best effort by design.
+        PutCheckpoint(id, s->rec->EncodeCheckpoint()).ok();  // Best effort.
       }
       s->rec.reset();
     }
@@ -306,14 +307,18 @@ void SessionManager::LruUnlink(SessionState& s) {
   s.lru_next = nullptr;
 }
 
+Status SessionManager::PutCheckpoint(SessionId id,
+                                     const std::string& checkpoint) {
+  std::lock_guard<std::mutex> store_lock(store_mu_);
+  return storage::PutCheckpoint(*store_, id, checkpoint);
+}
+
 SessionManager::RetryOutcome SessionManager::CheckpointWithRetry(
-    recsys::PackageRecommender& rec, SessionId id) {
+    const recsys::PackageRecommender& rec, SessionId id) {
   RetryOutcome out;
+  const std::string checkpoint = rec.EncodeCheckpoint();
   for (std::size_t attempt = 0;; ++attempt) {
-    {
-      std::lock_guard<std::mutex> store_lock(store_mu_);
-      out.status = rec.Checkpoint(*store_, id);
-    }
+    out.status = PutCheckpoint(id, checkpoint);
     if (out.status.ok()) return out;
     ++out.errors;
     if (attempt >= options_.store_retry_limit) return out;
@@ -404,9 +409,18 @@ Status SessionManager::EnsureHydrated(std::unique_lock<std::mutex>& lock,
                                          options_.recommender, s.seed);
   Status st = rec.ok() ? Status::OK() : rec.status();
   if (st.ok()) {
-    std::lock_guard<std::mutex> store_lock(store_mu_);
-    if (store_->Contains(s.id, storage::kKindRecommenderMeta)) {
-      st = (*rec)->Restore(*store_, s.id);
+    Result<std::optional<std::string>> checkpoint = [&] {
+      std::lock_guard<std::mutex> store_lock(store_mu_);
+      return storage::GetCheckpoint(*store_, s.id);
+    }();
+    // Decoded off store_mu_. No record is a session never checkpointed: it
+    // starts fresh from its seed. A record that cannot be read fails the
+    // request, so the session is never served blank and its history is
+    // never overwritten.
+    if (!checkpoint.ok()) {
+      st = checkpoint.status();
+    } else if (checkpoint->has_value()) {
+      st = (*rec)->RestoreCheckpoint(**checkpoint);
     }
   }
 
@@ -594,11 +608,7 @@ void SessionManager::WritebackLoop() {
       LruUnlink(s);
       recsys::PackageRecommender* rec = s.rec.get();
       lock.unlock();
-      Status st;
-      {
-        std::lock_guard<std::mutex> store_lock(store_mu_);
-        st = rec->Checkpoint(*store_, id);
-      }
+      Status st = PutCheckpoint(id, rec->EncodeCheckpoint());
       lock.lock();
       s.busy = false;
       if (st.ok()) {

@@ -263,15 +263,21 @@ class SessionManager {
   Status EvictLocked(std::unique_lock<std::mutex>& lock,
                      SessionState& victim);
 
-  // One checkpoint attempt plus up to store_retry_limit backed-off retries.
-  // Runs off mu_ (takes store_mu_ per attempt); the caller folds the error
-  // and retry counts into the store_errors/store_retries registry counters.
+  // Writes an encoded checkpoint (PackageRecommender::EncodeCheckpoint)
+  // via storage::PutCheckpoint, the only checkpoint work done under
+  // store_mu_.
+  Status PutCheckpoint(SessionId id, const std::string& checkpoint);
+
+  // Encodes `rec` once, then makes one PutCheckpoint attempt plus up to
+  // store_retry_limit backed-off retries of the same bytes. Runs off mu_;
+  // the caller folds the error and retry counts into the
+  // store_errors/store_retries registry counters.
   struct RetryOutcome {
     Status status;
     std::uint64_t errors = 0;
     std::uint64_t retries = 0;
   };
-  RetryOutcome CheckpointWithRetry(recsys::PackageRecommender& rec,
+  RetryOutcome CheckpointWithRetry(const recsys::PackageRecommender& rec,
                                    SessionId id);
 
   // Body of the background writeback thread (writeback_interval_ms > 0):
@@ -340,11 +346,12 @@ class SessionManager {
   std::condition_variable writeback_cv_;
   std::thread writeback_thread_;
 
-  // SessionStore calls are not thread-safe; every Checkpoint/Restore/Flush
-  // across all sessions serializes here. Never held while holding or
-  // waiting on mu_/slot_cv_ (always mu_ → release → store_mu_), so the two
-  // locks cannot deadlock. Group commit for eviction bursts is the
-  // storage-engine follow-up (ROADMAP item 2).
+  // SessionStore calls are not thread-safe; every Put/Get/Flush across all
+  // sessions serializes here. It guards store calls only: checkpoints are
+  // encoded before it is taken and decoded after it is released, so one
+  // session's (de)serialization never stalls another's store I/O. Never
+  // held while holding or waiting on mu_/slot_cv_ (always mu_ → release →
+  // store_mu_), so the two locks cannot deadlock.
   std::mutex store_mu_;
 };
 

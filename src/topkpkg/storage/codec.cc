@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "topkpkg/common/serde.h"
+#include "topkpkg/storage/session_store.h"
 
 namespace topkpkg::storage {
 
@@ -300,6 +301,24 @@ Result<std::vector<recsys::RoundLog>> DecodeRoundHistory(
     history.push_back(std::move(log));
   }
   return history;
+}
+
+Status PutCheckpoint(SessionStore& store, std::uint64_t session_id,
+                     const std::string& checkpoint) {
+  TOPKPKG_RETURN_IF_ERROR(store.Put(session_id, kKindCheckpoint, checkpoint));
+  return store.Flush();
+}
+
+Result<std::optional<std::string>> GetCheckpoint(const SessionStore& store,
+                                                 std::uint64_t session_id) {
+  // Contains first: Get also answers NotFound when a live record's segment
+  // cannot be opened, which must not read as "never checkpointed".
+  if (!store.Contains(session_id, kKindCheckpoint)) {
+    return std::optional<std::string>();
+  }
+  TOPKPKG_ASSIGN_OR_RETURN(std::string bytes,
+                           store.Get(session_id, kKindCheckpoint));
+  return std::optional<std::string>(std::move(bytes));
 }
 
 }  // namespace topkpkg::storage

@@ -5,16 +5,19 @@
 // the elicited PreferenceSet DAG, the SamplePool (with its process-unique
 // SampleIds — identity is part of the state, the incremental ranker's cache
 // is keyed by it), the ranking layer's TopListCache, and the RoundLog
-// history. Each payload starts with a one-byte format version so kinds can
-// evolve independently; decoders reject unknown versions with
-// Unimplemented and malformed bytes with OutOfRange/InvalidArgument —
-// never UB (every read is bounds-checked through ByteReader).
+// history — the sections of one checkpoint record (kKindCheckpoint). Each
+// payload starts with a one-byte format version so sections can evolve
+// independently; decoders reject unknown versions with Unimplemented and
+// malformed bytes with OutOfRange/InvalidArgument — never UB (every read is
+// bounds-checked through ByteReader).
 //
 // The contract is *bit-identical* restore: doubles round-trip as IEEE-754
 // bit patterns, orders are preserved (pool order, node order, adjacency
 // order), so a restored session's next round replays exactly as the
 // uninterrupted one would.
 
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -28,29 +31,33 @@
 
 namespace topkpkg::storage {
 
-// Record kinds a checkpointed PackageRecommender session occupies. The
+// The one record kind a checkpointed PackageRecommender session occupies:
+// the whole serving state, encoded by PackageRecommender::EncodeCheckpoint
+// with the payloads below as length-prefixed sections. One record is one
+// CRC-checked append, so the record log's torn-tail rule makes a checkpoint
+// all-or-nothing and one generation per session stays live. The value is
+// the old five-record layout's meta kind: its version byte makes Restore
+// refuse such stores (Unimplemented) instead of misreading them. The
 // tombstone bit (session_store.h) is reserved; kinds here must stay below
 // it.
-inline constexpr RecordKind kKindPreferenceSet = 1;
-inline constexpr RecordKind kKindSamplePool = 2;
-inline constexpr RecordKind kKindTopListCache = 3;
-inline constexpr RecordKind kKindRoundHistory = 4;
-inline constexpr RecordKind kKindRecommenderMeta = 5;
+inline constexpr RecordKind kKindCheckpoint = 5;
 
-// Checkpoints alternate their state records between two kind slots by
-// sequence parity (base kind for odd sequences, base + this offset for
-// even ones); the meta record — a single atomic append, written last —
-// names the sequence and thereby selects the slot. A checkpoint torn by a
-// crash mid-write only ever dirties the *other* slot, so Restore falls
-// back to the last committed generation instead of losing the session.
-inline constexpr RecordKind kKindGenSlotOffset = 8;
+class SessionStore;
 
-inline RecordKind GenSlotKind(RecordKind base, std::uint64_t seq) {
-  return seq % 2 == 0 ? base + kKindGenSlotOffset : base;
-}
+// The store side of a checkpoint, shared by PackageRecommender's
+// Checkpoint/Restore and the serving tier (which calls these under its
+// store lock and encodes/decodes outside it). PutCheckpoint is Put + Flush.
+// GetCheckpoint returns nullopt only when the session has no checkpoint
+// record; a record that is present but unreadable (its segment missing or
+// damaged) is an error, never mistaken for a fresh session.
+Status PutCheckpoint(SessionStore& store, std::uint64_t session_id,
+                     const std::string& checkpoint);
+Result<std::optional<std::string>> GetCheckpoint(const SessionStore& store,
+                                                 std::uint64_t session_id);
 
 // The single wire format for one model::Package (u32 item count + u32
-// item ids), shared by the codecs here and the recommender's meta record.
+// item ids), shared by the codecs here and the recommender's checkpoint
+// record.
 void PutPackage(ByteWriter& w, const model::Package& p);
 Result<model::Package> GetPackage(ByteReader& r);
 

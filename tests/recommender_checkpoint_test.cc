@@ -16,6 +16,7 @@
 #include "topkpkg/data/generators.h"
 #include "topkpkg/recsys/recommender.h"
 #include "topkpkg/storage/codec.h"
+#include "topkpkg/storage/fault_env.h"
 #include "topkpkg/storage/session_store.h"
 
 namespace topkpkg::recsys {
@@ -50,6 +51,14 @@ class CheckpointFixture : public ::testing::Test {
     opts.ranking.k = 3;
     opts.ranking.sigma = 3;
     return opts;
+  }
+
+  static bool SameRound(const RoundLog& a, const RoundLog& b) {
+    return a.top_k == b.top_k && a.presented == b.presented &&
+           a.clicked == b.clicked && a.top_k_overlap == b.top_k_overlap &&
+           a.samples_reused == b.samples_reused &&
+           a.samples_resampled == b.samples_resampled &&
+           a.searches_skipped == b.searches_skipped;
   }
 
   static void ExpectSameRound(const RoundLog& a, const RoundLog& b) {
@@ -191,52 +200,103 @@ TEST_F(CheckpointFixture, RestoreRejectsMismatchedConfiguration) {
   EXPECT_EQ(fresh.Restore(*store, 12345).code(), StatusCode::kNotFound);
 }
 
-TEST_F(CheckpointFixture, TornCheckpointFallsBackToPreviousGeneration) {
-  const std::string path = TempStorePath("torn");
+// A checkpoint attempt that fails on a store outage is retried — as
+// SessionManager's CheckpointWithRetry and writeback do. Crashing that
+// retry at any failpoint it performs, with the page cache lost or kept,
+// must leave a store that restores either the committed generation or the
+// retried one, and never an error.
+TEST_F(CheckpointFixture, CrashedRetryRestoresCommittedOrRetriedGeneration) {
+  const std::string path = TempStorePath("retrycrash");
   SimulatedUser user({0.8, 0.4, -0.2});
-  PackageRecommender original(evaluator_.get(), prior_.get(),
-                              DefaultOptions(), 11);
-  ASSERT_TRUE(original.RunRound(user).ok());
+  // The uninterrupted session: round 2 follows the committed generation
+  // (state after round 1), round 3 the retried one (after round 2).
+  std::vector<RoundLog> uninterrupted;
+  {
+    PackageRecommender session(evaluator_.get(), prior_.get(),
+                               DefaultOptions(), 11);
+    for (int round = 0; round < 3; ++round) {
+      auto log = session.RunRound(user);
+      ASSERT_TRUE(log.ok()) << log.status();
+      uninterrupted.push_back(*log);
+    }
+  }
+
+  std::size_t swept = 0;
+  for (const bool lose_page_cache : {true, false}) {
+    for (std::int64_t crash_at = 0;; ++crash_at) {
+      SCOPED_TRACE(std::string(lose_page_cache ? "power loss" : "process "
+                                                                "crash") +
+                   ", crash at retry failpoint " + std::to_string(crash_at));
+      ASSERT_LT(crash_at, 64) << "the retry never completed";
+      std::filesystem::remove_all(path);
+      storage::FaultInjectingEnv env(storage::Env::Default());
+      storage::SessionStoreOptions opts;
+      opts.env = &env;
+      opts.segment_max_bytes = 1024;  // Each checkpoint rolls a segment.
+      PackageRecommender session(evaluator_.get(), prior_.get(),
+                                 DefaultOptions(), 11);
+      Status retry;
+      {
+        auto store = storage::SessionStore::Open(path, opts);
+        ASSERT_TRUE(store.ok()) << store.status();
+        ASSERT_TRUE(session.RunRound(user).ok());
+        ASSERT_TRUE(session.Checkpoint(*store, 7).ok());  // Committed.
+        ASSERT_TRUE(session.RunRound(user).ok());
+        env.set_fail_writes(true);
+        ASSERT_FALSE(session.Checkpoint(*store, 7).ok());  // Outage.
+        env.set_fail_writes(false);
+        env.ResetCounters();
+        env.set_crash_at(crash_at);
+        retry = session.Checkpoint(*store, 7);
+      }
+      if (!env.crashed()) {
+        // Past the retry's last failpoint: it must simply have succeeded.
+        ASSERT_TRUE(retry.ok()) << retry;
+        break;
+      }
+      ++swept;
+      if (lose_page_cache) {
+        ASSERT_TRUE(env.LoseUnsyncedData(0).ok());
+      }
+
+      env.set_crash_at(-1);
+      env.ResetCounters();
+      auto reopened = storage::SessionStore::Open(path, opts);
+      ASSERT_TRUE(reopened.ok()) << reopened.status();
+      PackageRecommender restored(evaluator_.get(), prior_.get(),
+                                  DefaultOptions(), 0);
+      Status st = restored.Restore(*reopened, 7);
+      ASSERT_TRUE(st.ok()) << st;
+      auto got = restored.RunRound(user);
+      ASSERT_TRUE(got.ok()) << got.status();
+      EXPECT_TRUE(SameRound(uninterrupted[1], *got) ||
+                  SameRound(uninterrupted[2], *got))
+          << "the restored session continues neither generation";
+    }
+  }
+  EXPECT_GT(swept, 2u);
+}
+
+// The five-record layout's meta record shares kKindCheckpoint and starts
+// with version byte 1. Such a store is refused, not migrated or misread.
+TEST_F(CheckpointFixture, OldLayoutCheckpointIsRefused) {
+  const std::string path = TempStorePath("oldlayout");
   auto store = storage::SessionStore::Open(path);
   ASSERT_TRUE(store.ok());
-  ASSERT_TRUE(original.Checkpoint(*store, 7).ok());  // seq 1, odd slot.
-  ASSERT_TRUE(original.RunRound(user).ok());
-  ASSERT_TRUE(original.Checkpoint(*store, 7).ok());  // seq 2, even slot.
-  auto want = original.RunRound(user);
-  ASSERT_TRUE(want.ok());
+  ByteWriter old_meta;
+  old_meta.PutU8(1);   // Version.
+  old_meta.PutU64(1);  // The old layout's checkpoint sequence.
+  ASSERT_TRUE(
+      store->Put(7, storage::kKindCheckpoint, old_meta.bytes()).ok());
 
-  // Simulate a crash in the middle of checkpoint #3: some seq-3 records
-  // land in the odd slot (the one generation 1 used), the meta record
-  // never commits. The committed generation 2 lives in the even slot and
-  // must restore untouched.
-  ByteWriter wrap;
-  wrap.PutU64(3);
-  ASSERT_TRUE(store
-                  ->Put(7, storage::GenSlotKind(storage::kKindSamplePool, 3),
-                        wrap.bytes() +
-                            storage::EncodeSamplePool(original.pool()))
-                  .ok());
-  PackageRecommender restored(evaluator_.get(), prior_.get(),
-                              DefaultOptions(), 11);
-  ASSERT_TRUE(restored.Restore(*store, 7).ok());
-  auto got = restored.RunRound(user);
-  ASSERT_TRUE(got.ok());
-  ExpectSameRound(*want, *got);
-
-  // A wrong-sequence record in the *committed* slot is not a crash shape
-  // the checkpoint protocol produces — that store is inconsistent and must
-  // be refused.
-  ByteWriter bad;
-  bad.PutU64(99);
-  ASSERT_TRUE(store
-                  ->Put(7, storage::GenSlotKind(storage::kKindSamplePool, 2),
-                        bad.bytes() +
-                            storage::EncodeSamplePool(original.pool()))
-                  .ok());
-  PackageRecommender refused(evaluator_.get(), prior_.get(),
-                             DefaultOptions(), 11);
-  EXPECT_EQ(refused.Restore(*store, 7).code(),
-            StatusCode::kFailedPrecondition);
+  PackageRecommender rec(evaluator_.get(), prior_.get(), DefaultOptions(),
+                         11);
+  const Status st = rec.Restore(*store, 7);
+  EXPECT_EQ(st.code(), StatusCode::kUnimplemented) << st;
+  EXPECT_NE(st.message().find("version 1"), std::string::npos) << st;
+  EXPECT_NE(st.message().find("version 2"), std::string::npos) << st;
+  EXPECT_TRUE(rec.round_history().empty());
+  EXPECT_EQ(rec.feedback().num_edges(), 0u);
 }
 
 TEST_F(CheckpointFixture, InterleavedSessionsCheckpointAndRestore) {

@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "topkpkg/common/serde.h"
 #include "topkpkg/data/generators.h"
 #include "topkpkg/recsys/recommender.h"
 #include "topkpkg/serving/session_manager.h"
@@ -441,6 +442,89 @@ TEST_F(SessionManagerFixture, BackgroundWritebackMakesEvictionsCleanDrops) {
   ASSERT_TRUE(restored.ok());
   ASSERT_TRUE((*restored)->Restore(*store, 1).ok());
   EXPECT_EQ((*restored)->round_history().size(), 1u);
+}
+
+// A session whose store record is the old five-record layout's meta record
+// (kKindCheckpoint, version byte 1) fails its requests with Restore's
+// Unimplemented status. It must not start fresh: that would serve a blank
+// session and overwrite the history the record holds.
+TEST_F(SessionManagerFixture, OldLayoutSessionFailsInsteadOfStartingFresh) {
+  const std::string path = TempStorePath("oldlayout");
+  auto store = storage::SessionStore::Open(path);
+  ASSERT_TRUE(store.ok()) << store.status();
+  ByteWriter old_meta;
+  old_meta.PutU8(1);   // Version.
+  old_meta.PutU64(1);  // The old layout's checkpoint sequence.
+  ASSERT_TRUE(
+      store->Put(5, storage::kKindCheckpoint, old_meta.bytes()).ok());
+  {
+    auto manager = SessionManager::Create(evaluator_.get(), prior_.get(),
+                                          &*store, ManagerOptions(2));
+    ASSERT_TRUE(manager.ok()) << manager.status();
+    recsys::SimulatedUser user({0.8, 0.4, -0.2});
+    auto handle = (*manager)->StartSession(5, 11);
+    ASSERT_TRUE(handle.ok());
+    for (int attempt = 0; attempt < 2; ++attempt) {
+      const Result<recsys::RoundLog> round = handle->Feedback(&user).get();
+      ASSERT_FALSE(round.ok());
+      EXPECT_EQ(round.status().code(), StatusCode::kUnimplemented)
+          << round.status();
+      EXPECT_NE(round.status().message().find("version 1"),
+                std::string::npos)
+          << round.status();
+    }
+    EXPECT_EQ((*manager)->stats().hydrated, 0u);
+  }
+  auto record = store->Get(5, storage::kKindCheckpoint);
+  ASSERT_TRUE(record.ok()) << record.status();
+  EXPECT_EQ(*record, old_meta.bytes());  // Never overwritten.
+}
+
+// A checkpoint the store lists but cannot read (here: its segment files
+// are gone, which SessionStore::Get also reports as NotFound) fails the
+// session's requests. The session must not be taken for a never-
+// checkpointed one: serving it blank would overwrite its durable history.
+TEST_F(SessionManagerFixture, UnreadableCheckpointFailsInsteadOfStartingFresh) {
+  const std::string path = TempStorePath("unreadable");
+  auto store = storage::SessionStore::Open(path);
+  ASSERT_TRUE(store.ok()) << store.status();
+  recsys::SimulatedUser user({0.8, 0.4, -0.2});
+  {
+    auto manager = SessionManager::Create(evaluator_.get(), prior_.get(),
+                                          &*store, ManagerOptions(2));
+    ASSERT_TRUE(manager.ok()) << manager.status();
+    auto handle = (*manager)->StartSession(5, 11);
+    ASSERT_TRUE(handle.ok());
+    for (int i = 0; i < 2; ++i) {
+      ASSERT_TRUE(handle->Feedback(&user).get().ok());
+    }
+  }  // Destruction checkpoints the session.
+  auto committed = store->Get(5, storage::kKindCheckpoint);
+  ASSERT_TRUE(committed.ok()) << committed.status();
+
+  const std::string moved = path + ".moved";
+  std::filesystem::remove_all(moved);
+  std::filesystem::rename(path, moved);
+  {
+    auto manager = SessionManager::Create(evaluator_.get(), prior_.get(),
+                                          &*store, ManagerOptions(2));
+    ASSERT_TRUE(manager.ok()) << manager.status();
+    auto handle = (*manager)->StartSession(5, 11);
+    ASSERT_TRUE(handle.ok());
+    const Result<recsys::RoundLog> round = handle->Feedback(&user).get();
+    EXPECT_FALSE(round.ok());
+    EXPECT_EQ((*manager)->stats().hydrated, 0u);
+  }
+  std::filesystem::rename(moved, path);
+
+  auto record = store->Get(5, storage::kKindCheckpoint);
+  ASSERT_TRUE(record.ok()) << record.status();
+  EXPECT_TRUE(*record == *committed) << "checkpoint overwritten";
+  auto restored = recsys::PackageRecommender::Create(
+      evaluator_.get(), prior_.get(), RecOptions(), /*seed=*/0);
+  ASSERT_TRUE(restored.ok());
+  ASSERT_TRUE((*restored)->Restore(*store, 5).ok());
+  EXPECT_EQ((*restored)->round_history().size(), 2u);
 }
 
 TEST_F(SessionManagerFixture, CreateRejectsInvalidConfiguration) {

@@ -8,15 +8,15 @@
 // hints are notes (the engine scan-falls-back and rewrites them); a hint
 // that *disagrees* with its segment's contents is corruption.
 //
-// Given a regular file, falls back to the pre-segmented single-log check so
-// old stores remain inspectable.
+// A regular file is the pre-segmented single-file format, which the engine
+// does not read; it is refused (exit 1) with SessionStore::Open's wording.
 //
 // Exit codes: 0 = clean, 1 = unreadable/usage, 2 = integrity findings
 // (CRC failures, hint/scan disagreement, or a torn tail unless
 // --allow-torn-tail — recovery truncates torn tails, so a store checked
 // after a clean open never has one).
 //
-// Usage: store_fsck [--verbose] [--allow-torn-tail] <store-dir-or-file>
+// Usage: store_fsck [--verbose] [--allow-torn-tail] <store-dir>
 //
 // CI runs it both against the store example_durable_session writes and
 // after every store_crashgen crash-recovery cycle, so the on-disk format
@@ -58,28 +58,8 @@ using topkpkg::storage::SegmentHintName;
 const char* KindName(RecordKind kind) {
   if (kind == kSessionTombstone) return "session-tombstone";
   if ((kind & kTombstoneBit) != 0) return "tombstone";
-  // Checkpoint state records alternate between the base kinds and
-  // base + kKindGenSlotOffset (even-sequence generation slot); both slots
-  // carry the same payload format.
-  const bool alt = kind > topkpkg::storage::kKindGenSlotOffset &&
-                   kind <= topkpkg::storage::kKindGenSlotOffset +
-                               topkpkg::storage::kKindRoundHistory;
-  const RecordKind base =
-      alt ? kind - topkpkg::storage::kKindGenSlotOffset : kind;
-  switch (base) {
-    case topkpkg::storage::kKindPreferenceSet:
-      return alt ? "preference-set (alt slot)" : "preference-set";
-    case topkpkg::storage::kKindSamplePool:
-      return alt ? "sample-pool (alt slot)" : "sample-pool";
-    case topkpkg::storage::kKindTopListCache:
-      return alt ? "top-list-cache (alt slot)" : "top-list-cache";
-    case topkpkg::storage::kKindRoundHistory:
-      return alt ? "round-history (alt slot)" : "round-history";
-    case topkpkg::storage::kKindRecommenderMeta:
-      return "recommender-meta";
-    default:
-      return "unknown";
-  }
+  if (kind == topkpkg::storage::kKindCheckpoint) return "checkpoint";
+  return "unknown";
 }
 
 using Key = std::pair<std::uint64_t, RecordKind>;
@@ -141,9 +121,6 @@ struct Findings {
   std::size_t hint_mismatches = 0;
   std::size_t notes = 0;  // Benign: stale/invalid hints, leftover .compact.
 };
-
-int FsckLegacyFile(const std::string& path, bool verbose,
-                   bool allow_torn_tail);
 
 int FsckDirectory(const std::string& path, bool verbose,
                   bool allow_torn_tail) {
@@ -311,63 +288,6 @@ int FsckDirectory(const std::string& path, bool verbose,
   return 0;
 }
 
-// Pre-segmented single-file stores: one record log is the whole database.
-int FsckLegacyFile(const std::string& path, bool verbose,
-                   bool allow_torn_tail) {
-  RecordLogReader reader(path);
-  ReplayStats stats;
-  KeydirShadow keydir;
-  std::map<RecordKind, std::size_t> by_kind;
-  Status st = reader.Replay(
-      [&](const Record& rec) {
-        ++by_kind[rec.kind];
-        if (verbose) {
-          std::printf("  @%-10" PRIu64 " session=%-6" PRIu64
-                      " kind=%u (%s) payload=%zu bytes\n",
-                      rec.offset, rec.session_id, rec.kind,
-                      KindName(rec.kind), rec.payload.size());
-        }
-        keydir.Apply(rec);
-        return Status::OK();
-      },
-      &stats, /*strict=*/false);
-  if (!st.ok()) {
-    std::fprintf(stderr, "store_fsck: %s\n", st.ToString().c_str());
-    return 1;
-  }
-
-  std::uint64_t live_bytes = 0;
-  for (const auto& [key, size] : keydir.live) live_bytes += size;
-  const std::uint64_t total = stats.tail_offset;
-  const std::uint64_t dead_bytes = total - kFileHeaderSize - live_bytes;
-
-  std::printf("store_fsck: %s (legacy single-file store)\n", path.c_str());
-  std::printf("  records            %zu\n", stats.records);
-  for (const auto& [kind, count] : by_kind) {
-    std::printf("    kind %-10u %s: %zu\n", kind, KindName(kind), count);
-  }
-  std::printf("  live keys          %zu\n", keydir.live.size());
-  std::printf("  payload bytes      %" PRIu64 "\n", stats.payload_bytes);
-  std::printf("  live bytes         %" PRIu64 "\n", live_bytes);
-  std::printf("  dead bytes         %" PRIu64 "\n", dead_bytes);
-  std::printf("  crc failures       %zu\n", stats.crc_failures);
-  std::printf("  torn tail          %s\n", stats.torn_tail ? "YES" : "no");
-
-  if (stats.crc_failures > 0) {
-    std::fprintf(stderr, "store_fsck: FAIL — %zu CRC failure(s)\n",
-                 stats.crc_failures);
-    return 2;
-  }
-  if (stats.torn_tail && !allow_torn_tail) {
-    std::fprintf(stderr,
-                 "store_fsck: FAIL — torn tail at offset %" PRIu64 "\n",
-                 stats.tail_offset);
-    return 2;
-  }
-  std::printf("store_fsck: OK\n");
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -389,7 +309,7 @@ int main(int argc, char** argv) {
   if (path == nullptr) {
     std::fprintf(stderr,
                  "usage: store_fsck [--verbose] [--allow-torn-tail] "
-                 "<store-dir-or-file>\n");
+                 "<store-dir>\n");
     return 1;
   }
 
@@ -398,7 +318,12 @@ int main(int argc, char** argv) {
     return FsckDirectory(path, verbose, allow_torn_tail);
   }
   if (std::filesystem::is_regular_file(path, ec)) {
-    return FsckLegacyFile(path, verbose, allow_torn_tail);
+    std::fprintf(stderr,
+                 "store_fsck: session store: %s is a regular file — the "
+                 "pre-segmented single-file format; this version keeps a "
+                 "directory of segments and does not migrate old stores\n",
+                 path);
+    return 1;
   }
   std::fprintf(stderr, "store_fsck: %s: no such store\n", path);
   return 1;
