@@ -49,7 +49,7 @@ int RunAppendThroughput() {
     Timer timer;
     for (std::size_t i = 0; i < records; ++i) {
       // Rotating keys: a fleet of sessions checkpointing in turn.
-      Status st = store->Put(i % 128, 1 + (i % 4), payload);
+      Status st = store->Put(i % 128, payload);
       if (!st.ok()) {
         std::cerr << st << "\n";
         return 1;
@@ -83,7 +83,7 @@ int RunRecoveryReplay() {
       const std::string payload(2048, 'x');
       for (std::size_t round = 0; round < rounds; ++round) {
         for (std::size_t s = 0; s < sessions; ++s) {
-          Status st = store->Put(s, 1 + (round % 4), payload);
+          Status st = store->Put(s, payload);
           if (!st.ok()) {
             std::cerr << st << "\n";
             return 1;
@@ -179,13 +179,11 @@ int RunCompaction() {
     }
     const std::string payload(Scaled(32768), 'x');
     for (std::size_t c = 0; c < checkpoints; ++c) {
-      for (std::uint64_t session = 0; session < 16; ++session) {
-        for (storage::RecordKind kind = 1; kind <= 5; ++kind) {
-          Status st = store->Put(session, kind, payload);
-          if (!st.ok()) {
-            std::cerr << st << "\n";
-            return 1;
-          }
+      for (std::uint64_t session = 0; session < 80; ++session) {
+        Status st = store->Put(session, payload);
+        if (!st.ok()) {
+          std::cerr << st << "\n";
+          return 1;
         }
       }
     }
@@ -243,7 +241,7 @@ int RunFsyncPolicySweep() {
     const std::string payload(1024, 'x');
     Timer timer;
     for (std::size_t i = 0; i < records; ++i) {
-      Status st = store->Put(i % 128, 1 + (i % 4), payload);
+      Status st = store->Put(i % 128, payload);
       if (!st.ok()) {
         std::cerr << st << "\n";
         return 1;
@@ -279,7 +277,7 @@ int RunGroupCommitSweep() {
     const std::string payload(1024, 'x');
     Timer timer;
     for (std::size_t i = 0; i < puts; ++i) {
-      Status st = store->Put(i % 64, 1 + (i % 4), payload);
+      Status st = store->Put(i % 64, payload);
       if (!st.ok()) {
         std::cerr << st << "\n";
         return 1;

@@ -172,7 +172,7 @@ class PackageRecommender {
   // bit-identical recommendations, survivors reused, top lists served from
   // the warm cache instead of a cold full redraw.
   //
-  // A checkpoint is one record (storage::kKindCheckpoint): Checkpoint is
+  // A checkpoint is one record under `session_id`: Checkpoint is
   // storage::PutCheckpoint of EncodeCheckpoint(), Restore
   // storage::GetCheckpoint plus RestoreCheckpoint (NotFound when the
   // session has no checkpoint). The record log's CRC and torn-tail truncation make

@@ -305,7 +305,7 @@ Result<std::vector<recsys::RoundLog>> DecodeRoundHistory(
 
 Status PutCheckpoint(SessionStore& store, std::uint64_t session_id,
                      const std::string& checkpoint) {
-  TOPKPKG_RETURN_IF_ERROR(store.Put(session_id, kKindCheckpoint, checkpoint));
+  TOPKPKG_RETURN_IF_ERROR(store.Put(session_id, checkpoint));
   return store.Flush();
 }
 
@@ -313,11 +313,10 @@ Result<std::optional<std::string>> GetCheckpoint(const SessionStore& store,
                                                  std::uint64_t session_id) {
   // Contains first: Get also answers NotFound when a live record's segment
   // cannot be opened, which must not read as "never checkpointed".
-  if (!store.Contains(session_id, kKindCheckpoint)) {
+  if (!store.Contains(session_id)) {
     return std::optional<std::string>();
   }
-  TOPKPKG_ASSIGN_OR_RETURN(std::string bytes,
-                           store.Get(session_id, kKindCheckpoint));
+  TOPKPKG_ASSIGN_OR_RETURN(std::string bytes, store.Get(session_id));
   return std::optional<std::string>(std::move(bytes));
 }
 

@@ -5,7 +5,7 @@
 // the elicited PreferenceSet DAG, the SamplePool (with its process-unique
 // SampleIds — identity is part of the state, the incremental ranker's cache
 // is keyed by it), the ranking layer's TopListCache, and the RoundLog
-// history — the sections of one checkpoint record (kKindCheckpoint). Each
+// history — the sections of one session's checkpoint record. Each
 // payload starts with a one-byte format version so sections can evolve
 // independently; decoders reject unknown versions with Unimplemented and
 // malformed bytes with OutOfRange/InvalidArgument — never UB (every read is
@@ -27,23 +27,20 @@
 #include "topkpkg/ranking/incremental_ranker.h"
 #include "topkpkg/recsys/recommender.h"
 #include "topkpkg/sampling/sample_pool.h"
-#include "topkpkg/storage/record_log.h"
 
 namespace topkpkg::storage {
 
-// The one record kind a checkpointed PackageRecommender session occupies:
-// the whole serving state, encoded by PackageRecommender::EncodeCheckpoint
-// with the payloads below as length-prefixed sections. One record is one
-// CRC-checked append, so the record log's torn-tail rule makes a checkpoint
-// all-or-nothing and one generation per session stays live. The value is
-// the old five-record layout's meta kind: its version byte makes Restore
-// refuse such stores (Unimplemented) instead of misreading them. The
-// tombstone bit (session_store.h) is reserved; kinds here must stay below
-// it.
-inline constexpr RecordKind kKindCheckpoint = 5;
-
 class SessionStore;
 
+// A checkpointed PackageRecommender session is one store record under its
+// session id: the whole serving state, encoded by
+// PackageRecommender::EncodeCheckpoint with the payloads below as
+// length-prefixed sections. One record is one CRC-checked append, so the
+// record log's torn-tail rule makes a checkpoint all-or-nothing and one
+// generation per session stays live. The record's leading version byte
+// makes Restore refuse other checkpoint versions (Unimplemented) instead
+// of misreading them.
+//
 // The store side of a checkpoint, shared by PackageRecommender's
 // Checkpoint/Restore and the serving tier (which calls these under its
 // store lock and encodes/decodes outside it). PutCheckpoint is Put + Flush.

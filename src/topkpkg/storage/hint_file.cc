@@ -12,24 +12,23 @@ namespace {
 
 // magic + version + segment_file_size + count.
 constexpr std::size_t kHintHeaderSize = 4 + 4 + 8 + 8;
-// session_id + kind + offset + stored_size.
-constexpr std::size_t kHintEntrySize = 8 + 4 + 8 + 8;
+// session_id + offset + stored_size.
+constexpr std::size_t kHintEntrySize = 8 + 8 + 8;
 constexpr std::size_t kHintTrailerSize = 4;
 
 }  // namespace
 
 std::string EncodeHintFile(std::uint64_t segment_file_size,
-                           const std::vector<HintEvent>& events) {
+                           const std::vector<HintEntry>& entries) {
   std::string out(kHintMagic, sizeof(kHintMagic));
   ByteWriter body;
   body.PutU32(kHintFormatVersion);
   body.PutU64(segment_file_size);
-  body.PutU64(events.size());
-  for (const HintEvent& ev : events) {
-    body.PutU64(ev.session_id);
-    body.PutU32(ev.kind);
-    body.PutU64(ev.offset);
-    body.PutU64(ev.stored_size);
+  body.PutU64(entries.size());
+  for (const HintEntry& e : entries) {
+    body.PutU64(e.session_id);
+    body.PutU64(e.offset);
+    body.PutU64(e.stored_size);
   }
   out += body.bytes();
   ByteWriter trailer;
@@ -69,28 +68,28 @@ Result<HintFileContents> LoadHintFile(const std::string& path) {
   HintFileContents contents;
   contents.segment_file_size = ReadU64Le(bytes.data() + 8);
   const std::uint64_t count = ReadU64Le(bytes.data() + 16);
-  if (bytes.size() !=
-      kHintHeaderSize + count * kHintEntrySize + kHintTrailerSize) {
+  // Compare by division: `count * kHintEntrySize` can wrap around to the
+  // real size, and a count that passed would size the reserve() below.
+  const std::size_t entry_bytes =
+      bytes.size() - kHintHeaderSize - kHintTrailerSize;
+  if (entry_bytes % kHintEntrySize != 0 ||
+      count != entry_bytes / kHintEntrySize) {
     return Status::OutOfRange("hint file: " + path +
                               " size disagrees with its entry count");
   }
-  contents.events.reserve(count);
+  contents.entries.reserve(count);
   const char* p = bytes.data() + kHintHeaderSize;
   for (std::uint64_t i = 0; i < count; ++i, p += kHintEntrySize) {
-    HintEvent ev;
-    ev.session_id = ReadU64Le(p);
-    ev.kind = ReadU32Le(p + 8);
-    ev.offset = ReadU64Le(p + 12);
-    ev.stored_size = ReadU64Le(p + 20);
-    contents.events.push_back(ev);
+    contents.entries.push_back(
+        HintEntry{ReadU64Le(p), ReadU64Le(p + 8), ReadU64Le(p + 16)});
   }
   return contents;
 }
 
 Status WriteHintFile(Env* env, const std::string& path,
                      std::uint64_t segment_file_size,
-                     const std::vector<HintEvent>& events) {
-  const std::string bytes = EncodeHintFile(segment_file_size, events);
+                     const std::vector<HintEntry>& entries) {
+  const std::string bytes = EncodeHintFile(segment_file_size, entries);
   TOPKPKG_ASSIGN_OR_RETURN(std::unique_ptr<WritableFile> file,
                            env->NewWritableFile(path, /*truncate=*/true));
   TOPKPKG_RETURN_IF_ERROR(file->Append(bytes.data(), bytes.size()));

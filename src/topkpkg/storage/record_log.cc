@@ -11,12 +11,10 @@ namespace topkpkg::storage {
 
 namespace {
 
-// CRC over the record's identity and body: session_id ‖ kind ‖ payload.
-std::uint32_t RecordCrc(std::uint64_t session_id, RecordKind kind,
-                        const std::string& payload) {
+// CRC over the record's key and body: session_id ‖ payload.
+std::uint32_t RecordCrc(std::uint64_t session_id, const std::string& payload) {
   ByteWriter id_bytes;
   id_bytes.PutU64(session_id);
-  id_bytes.PutU32(kind);
   std::uint32_t crc =
       Crc32(id_bytes.bytes().data(), id_bytes.bytes().size());
   return Crc32(payload.data(), payload.size(), crc);
@@ -101,15 +99,13 @@ Status RecordLogWriter::RequireUsable() const {
 }
 
 Result<std::uint64_t> RecordLogWriter::Append(std::uint64_t session_id,
-                                              RecordKind kind,
                                               const std::string& payload) {
   TOPKPKG_RETURN_IF_ERROR(RequireUsable());
   const std::uint64_t offset = end_offset_;
   ByteWriter header;
   header.PutU32(static_cast<std::uint32_t>(payload.size()));
-  header.PutU32(RecordCrc(session_id, kind, payload));
+  header.PutU32(RecordCrc(session_id, payload));
   header.PutU64(session_id);
-  header.PutU32(kind);
   std::string buf = std::move(header).Take();
   buf.append(payload);
   Status st = file_->Append(buf.data(), buf.size());
@@ -164,7 +160,6 @@ Status RecordLogReader::Replay(
     const std::uint32_t payload_len = ReadU32Le(header);
     const std::uint32_t stored_crc = ReadU32Le(header + 4);
     rec.session_id = ReadU64Le(header + 8);
-    rec.kind = ReadU32Le(header + 16);
     rec.offset = pos;
     if (pos + kRecordHeaderSize + payload_len > size) {
       // Declared payload runs past EOF: torn tail, never committed.
@@ -173,7 +168,7 @@ Status RecordLogReader::Replay(
     rec.payload.resize(payload_len);
     in.read(rec.payload.data(), static_cast<std::streamsize>(payload_len));
     if (in.gcount() != static_cast<std::streamsize>(payload_len)) break;
-    if (RecordCrc(rec.session_id, rec.kind, rec.payload) != stored_crc) {
+    if (RecordCrc(rec.session_id, rec.payload) != stored_crc) {
       // The record is complete but its bytes are damaged — unlike a torn
       // tail this is not a crash shape the append protocol produces, so in
       // strict mode (every consumer but fsck) it poisons the whole log.
@@ -202,6 +197,7 @@ Result<Record> RecordLogReader::ReadAt(std::uint64_t offset) const {
   if (!in.is_open()) {
     return Status::NotFound("record log: " + path_ + " does not exist");
   }
+  TOPKPKG_ASSIGN_OR_RETURN(const std::uint64_t size, StreamSize(in, path_));
   in.seekg(static_cast<std::streamoff>(offset));
   char header[kRecordHeaderSize];
   in.read(header, sizeof(header));
@@ -213,15 +209,22 @@ Result<Record> RecordLogReader::ReadAt(std::uint64_t offset) const {
   const std::uint32_t payload_len = ReadU32Le(header);
   const std::uint32_t stored_crc = ReadU32Le(header + 4);
   rec.session_id = ReadU64Le(header + 8);
-  rec.kind = ReadU32Le(header + 16);
   rec.offset = offset;
+  // Replay's bound, checked before the payload is allocated: a damaged
+  // length must not make a point read allocate up to 4 GiB.
+  if (offset + kRecordHeaderSize + payload_len > size) {
+    return Status::OutOfRange("record log: record at offset " +
+                              std::to_string(offset) + " of " + path_ +
+                              " declares " + std::to_string(payload_len) +
+                              " payload bytes past the end of the file");
+  }
   rec.payload.resize(payload_len);
   in.read(rec.payload.data(), static_cast<std::streamsize>(payload_len));
   if (in.gcount() != static_cast<std::streamsize>(payload_len)) {
     return Status::OutOfRange("record log: truncated record at offset " +
                               std::to_string(offset) + " of " + path_);
   }
-  if (RecordCrc(rec.session_id, rec.kind, rec.payload) != stored_crc) {
+  if (RecordCrc(rec.session_id, rec.payload) != stored_crc) {
     return Status::Internal("record log: CRC mismatch at offset " +
                             std::to_string(offset) + " of " + path_);
   }

@@ -20,23 +20,22 @@ namespace topkpkg::storage {
 //
 //   file   := header record*
 //   header := magic "TKPS" (4) | format_version u32
-//   record := payload_len u32 | crc u32 | session_id u64 | kind u32 | payload
+//   record := payload_len u32 | crc u32 | session_id u64 | payload
 //
-// `crc` is CRC-32 (IEEE) over session_id ‖ kind ‖ payload, so a flipped bit
-// anywhere in a record's identity or body is rejected at read time, while a
+// `crc` is CRC-32 (IEEE) over session_id ‖ payload, so a flipped bit
+// anywhere in a record's key or body is rejected at read time, while a
 // record cut short by a crash ("torn tail") is recognized by running out of
-// bytes and treated as never-written.
-using RecordKind = std::uint32_t;
+// bytes and treated as never-written. Version 1 carried a u32 record kind
+// after session_id; this version refuses such files (Unimplemented).
 
 inline constexpr char kLogMagic[4] = {'T', 'K', 'P', 'S'};
-inline constexpr std::uint32_t kLogFormatVersion = 1;
+inline constexpr std::uint32_t kLogFormatVersion = 2;
 inline constexpr std::size_t kFileHeaderSize = 8;
-// payload_len + crc + session_id + kind.
-inline constexpr std::size_t kRecordHeaderSize = 4 + 4 + 8 + 4;
+// payload_len + crc + session_id.
+inline constexpr std::size_t kRecordHeaderSize = 4 + 4 + 8;
 
 struct Record {
   std::uint64_t session_id = 0;
-  RecordKind kind = 0;
   std::string payload;
   std::uint64_t offset = 0;  // File offset of the record's header.
 
@@ -77,7 +76,7 @@ class RecordLogWriter {
   // On a failed append the writer restores the record boundary (truncating
   // any partial bytes); if even that fails it poisons itself and every
   // later call fails — the file may hold a torn record mid-log otherwise.
-  Result<std::uint64_t> Append(std::uint64_t session_id, RecordKind kind,
+  Result<std::uint64_t> Append(std::uint64_t session_id,
                                const std::string& payload);
 
   // Bytes already reach the OS per Append; kept as a cheap no-op seam so
@@ -142,7 +141,8 @@ class RecordLogReader {
                 ReplayStats* stats = nullptr, bool strict = true) const;
 
   // Reads and CRC-verifies the single record whose header starts at
-  // `offset` (a keydir entry).
+  // `offset` (a keydir entry). A header or declared payload running past
+  // the end of the file is OutOfRange, checked before any allocation.
   Result<Record> ReadAt(std::uint64_t offset) const;
 
   const std::string& path() const { return path_; }

@@ -146,32 +146,18 @@ std::string SessionStore::HintPath(std::uint64_t id) const {
   return path_ + "/" + SegmentHintName(id);
 }
 
-void SessionStore::PendingHint::Track(const HintEvent& ev) {
-  if (ev.kind == kSessionTombstone) {
-    // Whole-session tombstones all go in the hint: each one erases exactly
-    // the keys whose latest event precedes it, which only replay order can
-    // reconstruct.
-    session_tombs.push_back(ev);
-    return;
+std::vector<HintEntry> SessionStore::HintFor(std::uint64_t id) const {
+  std::vector<HintEntry> out;
+  for (const auto& [session_id, entry] : keydir_) {
+    if (entry.segment_id == id) {
+      out.push_back(HintEntry{session_id, entry.offset, entry.stored_size});
+    }
   }
-  latest[Key{ev.session_id, ev.kind & ~kTombstoneBit}] = ev;
-}
-
-std::vector<HintEvent> SessionStore::PendingHint::CollectSorted() const {
-  std::vector<HintEvent> out;
-  out.reserve(latest.size() + session_tombs.size());
-  for (const auto& [key, ev] : latest) out.push_back(ev);
-  out.insert(out.end(), session_tombs.begin(), session_tombs.end());
   std::sort(out.begin(), out.end(),
-            [](const HintEvent& a, const HintEvent& b) {
+            [](const HintEntry& a, const HintEntry& b) {
               return a.offset < b.offset;
             });
   return out;
-}
-
-void SessionStore::PendingHint::Clear() {
-  latest.clear();
-  session_tombs.clear();
 }
 
 Result<SessionStore> SessionStore::Open(const std::string& path,
@@ -257,8 +243,8 @@ Status SessionStore::RecoverSealedSegment(std::uint64_t id) {
   Result<HintFileContents> hint = LoadHintFile(HintPath(id));
   if (hint.ok() && hint->segment_file_size == size) {
     segments_[id].data_bytes = size;
-    for (const HintEvent& ev : hint->events) {
-      Apply(ev.session_id, ev.kind, id, ev.offset, ev.stored_size);
+    for (const HintEntry& e : hint->entries) {
+      Apply(e.session_id, id, e.offset, e.stored_size);
     }
     ++stats_.hint_startup_segments;
     return Status::OK();
@@ -271,15 +257,12 @@ Status SessionStore::RecoverSealedSegment(std::uint64_t id) {
 Status SessionStore::ScanSegment(std::uint64_t id, bool sealed) {
   const std::string seg = SegmentPath(id);
   TOPKPKG_ASSIGN_OR_RETURN(std::uint64_t size, env()->FileSize(seg));
-  PendingHint builder;
   if (size >= kFileHeaderSize) {
     ReplayStats rstats;
     RecordLogReader reader(seg);
     TOPKPKG_RETURN_IF_ERROR(reader.Replay(
-        [this, id, &builder](const Record& rec) {
-          Apply(rec.session_id, rec.kind, id, rec.offset, rec.StoredSize());
-          builder.Track(HintEvent{rec.session_id, rec.kind, rec.offset,
-                                  rec.StoredSize()});
+        [this, id](const Record& rec) {
+          Apply(rec.session_id, id, rec.offset, rec.StoredSize());
           return Status::OK();
         },
         &rstats));
@@ -302,42 +285,25 @@ Status SessionStore::ScanSegment(std::uint64_t id, bool sealed) {
     ++stats_.scanned_startup_segments;
     // Self-heal: the next open gets a hint again. Best-effort — a failure
     // just means another scan.
-    Status ignored =
-        WriteHintFile(env(), HintPath(id), size, builder.CollectSorted());
+    Status ignored = WriteHintFile(env(), HintPath(id), size, HintFor(id));
     (void)ignored;
-  } else {
-    pending_hint_ = std::move(builder);
   }
   return Status::OK();
 }
 
-void SessionStore::Apply(std::uint64_t session_id, RecordKind kind,
-                         std::uint64_t segment_id, std::uint64_t offset,
-                         std::uint64_t stored_size) {
-  if (kind == kSessionTombstone) {
-    const auto begin = keydir_.lower_bound(Key{session_id, 0});
-    const auto end = keydir_.upper_bound(Key{session_id, kSessionTombstone});
-    for (auto it = begin; it != end; ++it) DropLive(it->second);
-    keydir_.erase(begin, end);
-  } else if ((kind & kTombstoneBit) != 0) {
-    const auto it = keydir_.find(Key{session_id, kind & ~kTombstoneBit});
-    if (it != keydir_.end()) {
-      DropLive(it->second);
-      keydir_.erase(it);
-    }
-  } else {
-    auto [it, inserted] = keydir_.try_emplace(Key{session_id, kind});
-    if (!inserted) DropLive(it->second);
-    it->second = KeydirEntry{segment_id, offset, stored_size};
-    segments_[segment_id].live_bytes += stored_size;
-    stats_.live_bytes += stored_size;
+void SessionStore::Apply(std::uint64_t session_id, std::uint64_t segment_id,
+                         std::uint64_t offset, std::uint64_t stored_size) {
+  auto [it, inserted] = keydir_.try_emplace(session_id);
+  if (!inserted) {
+    // The superseded record turns dead.
+    const KeydirEntry& old = it->second;
+    const auto seg = segments_.find(old.segment_id);
+    if (seg != segments_.end()) seg->second.live_bytes -= old.stored_size;
+    stats_.live_bytes -= old.stored_size;
   }
-}
-
-void SessionStore::DropLive(const KeydirEntry& entry) {
-  const auto it = segments_.find(entry.segment_id);
-  if (it != segments_.end()) it->second.live_bytes -= entry.stored_size;
-  stats_.live_bytes -= entry.stored_size;
+  it->second = KeydirEntry{segment_id, offset, stored_size};
+  segments_[segment_id].live_bytes += stored_size;
+  stats_.live_bytes += stored_size;
 }
 
 void SessionStore::RefreshDerivedStats() {
@@ -373,15 +339,20 @@ Status SessionStore::RequireWriter() const {
       path_ + "; reopen the store");
 }
 
-Status SessionStore::CommitMutation(std::uint64_t session_id, RecordKind kind,
-                                    std::uint64_t offset,
-                                    std::uint64_t stored_size) {
+Status SessionStore::Put(std::uint64_t session_id,
+                         const std::string& payload) {
+  obs::ScopedLatency put_lat(obs::kMetricsEnabled ? Metrics().put_latency
+                                                  : nullptr);
+  if constexpr (obs::kMetricsEnabled) Metrics().puts->Increment();
+  TOPKPKG_RETURN_IF_ERROR(RequireWriter());
+  TOPKPKG_RETURN_IF_ERROR(MaybeRoll());
+  TOPKPKG_ASSIGN_OR_RETURN(const std::uint64_t offset,
+                           writer_->Append(session_id, payload));
   // Bookkeeping first, durability second: the record is in the log either
   // way, so the keydir must reflect it even when the fsync below fails —
   // otherwise a retry of the "failed" put would leave memory and disk
   // telling different stories after a recovery.
-  pending_hint_.Track(HintEvent{session_id, kind, offset, stored_size});
-  Apply(session_id, kind, active_id_, offset, stored_size);
+  Apply(session_id, active_id_, offset, kRecordHeaderSize + payload.size());
   segments_[active_id_].data_bytes = writer_->end_offset();
   RefreshDerivedStats();
   switch (opts_.fsync_policy) {
@@ -422,81 +393,25 @@ Status SessionStore::CommitMutation(std::uint64_t session_id, RecordKind kind,
   return Status::OK();
 }
 
-Status SessionStore::Put(std::uint64_t session_id, RecordKind kind,
-                         const std::string& payload) {
-  obs::ScopedLatency put_lat(obs::kMetricsEnabled ? Metrics().put_latency
-                                                  : nullptr);
-  if constexpr (obs::kMetricsEnabled) Metrics().puts->Increment();
-  TOPKPKG_RETURN_IF_ERROR(RequireWriter());
-  if ((kind & kTombstoneBit) != 0) {
-    return Status::InvalidArgument(
-        "session store: record kinds with the tombstone bit are reserved");
-  }
-  TOPKPKG_RETURN_IF_ERROR(MaybeRoll());
-  TOPKPKG_ASSIGN_OR_RETURN(const std::uint64_t offset,
-                           writer_->Append(session_id, kind, payload));
-  return CommitMutation(session_id, kind, offset,
-                        kRecordHeaderSize + payload.size());
-}
-
-Result<std::string> SessionStore::Get(std::uint64_t session_id,
-                                      RecordKind kind) const {
-  const auto it = keydir_.find(Key{session_id, kind});
+Result<std::string> SessionStore::Get(std::uint64_t session_id) const {
+  const auto it = keydir_.find(session_id);
   if (it == keydir_.end()) {
     return Status::NotFound("session store: no record for session " +
-                            std::to_string(session_id) + " kind " +
-                            std::to_string(kind));
+                            std::to_string(session_id));
   }
   RecordLogReader reader(SegmentPath(it->second.segment_id));
   TOPKPKG_ASSIGN_OR_RETURN(Record rec, reader.ReadAt(it->second.offset));
-  if (rec.session_id != session_id || rec.kind != kind) {
+  if (rec.session_id != session_id) {
     return Status::Internal(
         "session store: keydir offset " + std::to_string(it->second.offset) +
         " of segment " + std::to_string(it->second.segment_id) +
-        " holds a record for a different key");
+        " holds a record for a different session");
   }
   return std::move(rec.payload);
 }
 
-bool SessionStore::Contains(std::uint64_t session_id, RecordKind kind) const {
-  return keydir_.find(Key{session_id, kind}) != keydir_.end();
-}
-
-Status SessionStore::Delete(std::uint64_t session_id, RecordKind kind) {
-  TOPKPKG_RETURN_IF_ERROR(RequireWriter());
-  TOPKPKG_RETURN_IF_ERROR(MaybeRoll());
-  TOPKPKG_ASSIGN_OR_RETURN(
-      const std::uint64_t offset,
-      writer_->Append(session_id, kind | kTombstoneBit, std::string()));
-  return CommitMutation(session_id, kind | kTombstoneBit, offset,
-                        kRecordHeaderSize);
-}
-
-Status SessionStore::DeleteSession(std::uint64_t session_id) {
-  TOPKPKG_RETURN_IF_ERROR(RequireWriter());
-  TOPKPKG_RETURN_IF_ERROR(MaybeRoll());
-  TOPKPKG_ASSIGN_OR_RETURN(
-      const std::uint64_t offset,
-      writer_->Append(session_id, kSessionTombstone, std::string()));
-  return CommitMutation(session_id, kSessionTombstone, offset,
-                        kRecordHeaderSize);
-}
-
-std::vector<std::uint64_t> SessionStore::SessionIds() const {
-  std::vector<std::uint64_t> ids;
-  for (const auto& [key, entry] : keydir_) {
-    if (ids.empty() || ids.back() != key.first) ids.push_back(key.first);
-  }
-  return ids;
-}
-
-std::vector<RecordKind> SessionStore::KindsOf(std::uint64_t session_id) const {
-  std::vector<RecordKind> kinds;
-  for (auto it = keydir_.lower_bound(Key{session_id, 0});
-       it != keydir_.end() && it->first.first == session_id; ++it) {
-    kinds.push_back(it->first.second);
-  }
-  return kinds;
+bool SessionStore::Contains(std::uint64_t session_id) const {
+  return keydir_.find(session_id) != keydir_.end();
 }
 
 Status SessionStore::MaybeRoll() {
@@ -515,8 +430,7 @@ Status SessionStore::Roll() {
   const std::uint64_t sealed_id = active_id_;
   const std::uint64_t sealed_size = writer_->end_offset();
   TOPKPKG_RETURN_IF_ERROR(WriteHintFile(env(), HintPath(sealed_id),
-                                        sealed_size,
-                                        pending_hint_.CollectSorted()));
+                                        sealed_size, HintFor(sealed_id)));
   {
     Status closed = writer_->Close();
     if (!closed.ok()) {
@@ -552,7 +466,6 @@ Status SessionStore::Roll() {
   writer_ = std::make_unique<RecordLogWriter>(std::move(next).value());
   active_id_ = sealed_id + 1;
   segments_[active_id_].data_bytes = writer_->end_offset();
-  pending_hint_.Clear();
   // The seal's fsync drained the group-commit window.
   ObserveWindowDrain(puts_since_sync_);
   puts_since_sync_ = 0;
@@ -600,37 +513,34 @@ Status SessionStore::CompactCold(bool automatic) {
       cold_bytes_before += segments_[id].data_bytes;
     }
   }
-  // The merge replaces the LOWEST cold id. That choice is what makes
-  // dropping tombstones crash-safe: the rename atomically swaps out the
-  // oldest data (the only records a dropped tombstone could have shadowed),
-  // so a crash during the later deletions leaves only a *suffix* of newer
-  // original segments — and replaying the merge followed by a suffix of the
-  // cold set (which still carries its own tombstones) converges to the same
-  // keydir as the full original replay.
+  // The merge replaces the LOWEST cold id, and the other inputs are then
+  // removed in ascending order. A crash during those removals leaves the
+  // merge followed by a *suffix* of the original cold segments. Replaying
+  // that still ends each session on its latest cold record: if the segment
+  // holding it survived, it replays after the merge; if not, no surviving
+  // input mentions the session, and the merge's copy stands. The active
+  // segment replays last either way.
   const std::uint64_t merged_id = cold.front();  // Ascending map order.
   const std::string merged_tmp = SegmentPath(merged_id) + ".compact";
 
-  // Merge every cold segment's live records (keydir order — deterministic,
-  // so equal stores compact to byte-identical segments). Tombstones are
-  // dropped: everything they could shadow is cold and merged here too, and
-  // the active segment only holds newer records.
-  std::map<Key, KeydirEntry> patch;
-  std::vector<HintEvent> hint_events;
+  // Merge every cold segment's live records in keydir (session id) order —
+  // deterministic, so equal stores compact to byte-identical segments.
+  std::map<std::uint64_t, KeydirEntry> patch;
+  std::vector<HintEntry> hint_entries;
   std::uint64_t merged_size = 0;
   {
     TOPKPKG_ASSIGN_OR_RETURN(
         RecordLogWriter rewriter,
         RecordLogWriter::Open(merged_tmp, /*truncate=*/true, env()));
-    for (const auto& [key, entry] : keydir_) {
+    for (const auto& [session_id, entry] : keydir_) {
       if (entry.segment_id == active_id_) continue;
       RecordLogReader reader(SegmentPath(entry.segment_id));
       TOPKPKG_ASSIGN_OR_RETURN(Record rec, reader.ReadAt(entry.offset));
-      TOPKPKG_ASSIGN_OR_RETURN(
-          const std::uint64_t offset,
-          rewriter.Append(rec.session_id, rec.kind, rec.payload));
-      patch[key] = KeydirEntry{merged_id, offset, rec.StoredSize()};
-      hint_events.push_back(
-          HintEvent{rec.session_id, rec.kind, offset, rec.StoredSize()});
+      TOPKPKG_ASSIGN_OR_RETURN(const std::uint64_t offset,
+                               rewriter.Append(session_id, rec.payload));
+      patch[session_id] = KeydirEntry{merged_id, offset, rec.StoredSize()};
+      hint_entries.push_back(
+          HintEntry{session_id, offset, rec.StoredSize()});
     }
     TOPKPKG_RETURN_IF_ERROR(TimedSync(rewriter));
     ++stats_.fsyncs;
@@ -649,8 +559,8 @@ Status SessionStore::CompactCold(bool automatic) {
   // (a failure here must not leave keydir_ pointing into replaced bytes).
   // The superseded segments go in ascending order, each pinned by a
   // directory sync, so a crash mid-cleanup leaves exactly the suffix shape
-  // the tombstone-dropping argument above depends on.
-  for (const auto& [key, entry] : patch) keydir_[key] = entry;
+  // the replay argument above depends on.
+  for (const auto& [session_id, entry] : patch) keydir_[session_id] = entry;
   segments_[merged_id] =
       SegmentInfo{merged_size,
                   merged_size > kFileHeaderSize
@@ -669,7 +579,7 @@ Status SessionStore::CompactCold(bool automatic) {
     segments_.erase(id);
   }
   Status hinted =
-      WriteHintFile(env(), HintPath(merged_id), merged_size, hint_events);
+      WriteHintFile(env(), HintPath(merged_id), merged_size, hint_entries);
   (void)hinted;
   Status dir_synced = env()->SyncDir(path_);
   (void)dir_synced;

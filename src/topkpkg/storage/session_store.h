@@ -23,7 +23,6 @@ namespace topkpkg::storage {
 // *power loss*:
 //
 //   kEveryPut — fsync inside every mutation. An OK Put survives power loss.
-//     The checkpoint gen-slot protocol's atomicity proof assumes this level.
 //   kInterval — group commit: one fsync per `group_commit_puts` mutations
 //     (and on Flush/Sync/segment-seal/compaction). Bounded loss window — at
 //     most `group_commit_puts - 1` acknowledged mutations can vanish. Assumes the page cache
@@ -37,7 +36,9 @@ enum class FsyncPolicy { kNone, kInterval, kEveryPut };
 struct SessionStoreOptions {
   FsyncPolicy fsync_policy = FsyncPolicy::kInterval;
   // kInterval: mutations acknowledged between fsyncs (the group-commit
-  // window). A checkpoint burst of N puts + Flush costs one fsync, not N.
+  // window). It groups only puts made without a Flush in between; on the
+  // serving path every storage::PutCheckpoint flushes, so each checkpoint
+  // pays its own fsync.
   std::size_t group_commit_puts = 32;
   // kInterval: an open group-commit window is also flushed once it has been
   // open this long, so a trickle of puts that never reaches
@@ -61,8 +62,9 @@ struct SessionStoreOptions {
 };
 
 // Bitcask-style durable key-value store over a *directory of segments*: the
-// logs are the database, and an in-memory *keydir* maps (session_id,
-// record_kind) to the segment + offset of the latest record for that key.
+// logs are the database, and an in-memory *keydir* maps each session id to
+// the segment + offset of its latest record. Nothing is ever deleted, so
+// the store is exactly that map.
 //
 //   dir/
 //     LOCK                  flock'd for the store's lifetime (single writer)
@@ -94,7 +96,7 @@ class SessionStore {
   struct Stats {
     std::size_t live_records = 0;
     std::uint64_t live_bytes = 0;  // Stored size of the live records.
-    std::uint64_t dead_bytes = 0;  // Superseded records + tombstones.
+    std::uint64_t dead_bytes = 0;  // Superseded records.
     std::uint64_t file_bytes = 0;  // Total across segments incl. headers.
     bool recovered_torn_tail = false;  // Open() truncated a torn record.
     std::size_t segments = 0;
@@ -123,34 +125,20 @@ class SessionStore {
   SessionStore(SessionStore&&) = default;
   SessionStore& operator=(SessionStore&&) = default;
 
-  // Upserts the value for (session_id, kind), durable per the store's
-  // FsyncPolicy. Kinds with the tombstone bit (top bit) set are reserved
-  // for the store itself.
-  Status Put(std::uint64_t session_id, RecordKind kind,
-             const std::string& payload);
+  // Upserts the value for `session_id`, durable per the store's
+  // FsyncPolicy.
+  Status Put(std::uint64_t session_id, const std::string& payload);
 
-  // Latest value for (session_id, kind); NotFound when absent or deleted.
-  Result<std::string> Get(std::uint64_t session_id, RecordKind kind) const;
+  // Latest value for `session_id`; NotFound when it has none. A listed
+  // record whose segment cannot be opened also reads NotFound (the reader's
+  // status), so callers that must tell the two apart ask Contains first.
+  Result<std::string> Get(std::uint64_t session_id) const;
 
-  bool Contains(std::uint64_t session_id, RecordKind kind) const;
-
-  // Appends a tombstone hiding (session_id, kind) until the next Put.
-  // Deleting an absent key is an OK no-op (the tombstone still lands in the
-  // log so a replay after an older checkpoint converges).
-  Status Delete(std::uint64_t session_id, RecordKind kind);
-
-  // Tombstones every kind of `session_id` in one record.
-  Status DeleteSession(std::uint64_t session_id);
-
-  // Distinct session ids with at least one live record, ascending.
-  std::vector<std::uint64_t> SessionIds() const;
-
-  // Live kinds of one session, ascending.
-  std::vector<RecordKind> KindsOf(std::uint64_t session_id) const;
+  bool Contains(std::uint64_t session_id) const;
 
   // Seals the active segment (when it has records) and merges every cold
-  // segment's live records into one, dropping superseded records and
-  // tombstones. Crash-safe: the merge builds a `.compact` file, fsyncs it,
+  // segment's live records into one, dropping superseded records.
+  // Crash-safe: the merge builds a `.compact` file, fsyncs it,
   // and renames it into place with directory syncs ordering each step.
   Status Compact();
 
@@ -175,22 +163,9 @@ class SessionStore {
   std::uint64_t active_segment_id() const { return active_id_; }
 
  private:
-  using Key = std::pair<std::uint64_t, RecordKind>;
-
   struct SegmentInfo {
     std::uint64_t data_bytes = 0;  // File size incl. its header.
     std::uint64_t live_bytes = 0;  // Stored size of its live records.
-  };
-
-  // Accumulates the active segment's future hint file as records land:
-  // the latest event per key plus every whole-session tombstone.
-  struct PendingHint {
-    std::map<Key, HintEvent> latest;
-    std::vector<HintEvent> session_tombs;  // Ascending offset.
-
-    void Track(const HintEvent& ev);
-    std::vector<HintEvent> CollectSorted() const;
-    void Clear();
   };
 
   SessionStore(std::string path, SessionStoreOptions options,
@@ -202,32 +177,31 @@ class SessionStore {
   Env* env() const { return opts_.env; }
 
   // Startup replay of one sealed segment: its hint when valid, a scan
-  // (rewriting the hint) otherwise.
+  // (rewriting the hint) otherwise. Segments are recovered in ascending id
+  // order, which HintFor relies on.
   Status RecoverSealedSegment(std::uint64_t id);
-  // Full scan of segment `id`, truncating a torn tail. Sealed scans rewrite
-  // the hint; an active scan seeds pending_hint_ instead.
+  // Full scan of segment `id`, truncating a torn tail. A sealed scan
+  // rewrites the segment's hint.
   Status ScanSegment(std::uint64_t id, bool sealed);
 
-  // Applies one replayed/appended record to the keydir and the per-segment
-  // live-byte accounting.
-  void Apply(std::uint64_t session_id, RecordKind kind,
-             std::uint64_t segment_id, std::uint64_t offset,
-             std::uint64_t stored_size);
-  void DropLive(const KeydirEntry& entry);
-  void RefreshDerivedStats();
+  // The hint of segment `id`: the keydir entries pointing into it, by
+  // offset. With no deletes, that is each session's latest record in the
+  // segment whenever no newer segment has been applied yet — at seal time,
+  // and while Open replays segments in ascending id order.
+  std::vector<HintEntry> HintFor(std::uint64_t id) const;
 
-  // Shared mutation tail: policy fsync + keydir apply + auto-compaction
-  // probe.
-  Status CommitMutation(std::uint64_t session_id, RecordKind kind,
-                        std::uint64_t offset, std::uint64_t stored_size);
+  // Upserts one replayed/appended record into the keydir and the
+  // per-segment live-byte accounting.
+  void Apply(std::uint64_t session_id, std::uint64_t segment_id,
+             std::uint64_t offset, std::uint64_t stored_size);
+  void RefreshDerivedStats();
 
   // Rolls when the active segment has outgrown segment_max_bytes.
   Status MaybeRoll();
   // Seals the active segment (sync + hint) and starts the next one.
   Status Roll();
-  // Merges all cold segments into the lowest cold id (replacing the oldest
-  // data keeps dropped tombstones crash-safe). `automatic` only tags the
-  // stats.
+  // Merges all cold segments into the lowest cold id. `automatic` only
+  // tags the stats.
   Status CompactCold(bool automatic);
   bool ColdSegmentWantsCompaction() const;
 
@@ -242,20 +216,16 @@ class SessionStore {
   // unique_ptr keeps the store movable while RecordLogWriter holds a file.
   std::unique_ptr<RecordLogWriter> writer_;
   std::uint64_t active_id_ = 0;
-  std::map<Key, KeydirEntry> keydir_;
+  // Ordered, so compaction writes sessions in id order and equal stores
+  // compact to byte-identical segments.
+  std::map<std::uint64_t, KeydirEntry> keydir_;
   std::map<std::uint64_t, SegmentInfo> segments_;
-  PendingHint pending_hint_;
   std::size_t puts_since_sync_ = 0;
   // When the open group-commit window's first put landed (flush-timer
   // clock); meaningful only while puts_since_sync_ > 0 and the timer is on.
   std::uint64_t window_opened_ms_ = 0;
   Stats stats_;
 };
-
-// Record kinds carrying the tombstone bit mark deletions; the payload is
-// empty. kSessionTombstone (all ones) deletes every kind of its session.
-inline constexpr RecordKind kTombstoneBit = 0x80000000u;
-inline constexpr RecordKind kSessionTombstone = 0xFFFFFFFFu;
 
 // Segment file naming, shared with store_fsck and the tests.
 std::string SegmentFileName(std::uint64_t id);

@@ -277,8 +277,8 @@ TEST_F(CheckpointFixture, CrashedRetryRestoresCommittedOrRetriedGeneration) {
   EXPECT_GT(swept, 2u);
 }
 
-// The five-record layout's meta record shares kKindCheckpoint and starts
-// with version byte 1. Such a store is refused, not migrated or misread.
+// A checkpoint record of an unknown version (here version byte 1, the old
+// five-record layout's meta record) is refused, not migrated or misread.
 TEST_F(CheckpointFixture, OldLayoutCheckpointIsRefused) {
   const std::string path = TempStorePath("oldlayout");
   auto store = storage::SessionStore::Open(path);
@@ -286,8 +286,7 @@ TEST_F(CheckpointFixture, OldLayoutCheckpointIsRefused) {
   ByteWriter old_meta;
   old_meta.PutU8(1);   // Version.
   old_meta.PutU64(1);  // The old layout's checkpoint sequence.
-  ASSERT_TRUE(
-      store->Put(7, storage::kKindCheckpoint, old_meta.bytes()).ok());
+  ASSERT_TRUE(store->Put(7, old_meta.bytes()).ok());
 
   PackageRecommender rec(evaluator_.get(), prior_.get(), DefaultOptions(),
                          11);

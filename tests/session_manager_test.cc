@@ -444,10 +444,73 @@ TEST_F(SessionManagerFixture, BackgroundWritebackMakesEvictionsCleanDrops) {
   EXPECT_EQ((*restored)->round_history().size(), 1u);
 }
 
-// A session whose store record is the old five-record layout's meta record
-// (kKindCheckpoint, version byte 1) fails its requests with Restore's
-// Unimplemented status. It must not start fresh: that would serve a blank
-// session and overwrite the history the record holds.
+// The store holds exactly one live record per session whatever the
+// eviction churn: after N sessions are served through an LRU of capacity 1
+// or 2 (with background writeback at capacity 2) and the manager ends, the
+// keydir and the live-record count both equal N, and still do after a
+// compaction and a reopen.
+TEST_F(SessionManagerFixture, OneLiveKeyPerSessionAfterEvictionChurn) {
+  constexpr std::size_t kSessions = 5;
+  constexpr int kRounds = 3;
+  for (std::size_t capacity : {std::size_t{1}, std::size_t{2}}) {
+    SCOPED_TRACE("capacity " + std::to_string(capacity));
+    const std::string path =
+        TempStorePath("onekey_cap" + std::to_string(capacity));
+    storage::SessionStoreOptions sopts;
+    sopts.segment_max_bytes = 32 << 10;  // Small: checkpoints roll segments.
+    auto store = storage::SessionStore::Open(path, sopts);
+    ASSERT_TRUE(store.ok()) << store.status();
+    {
+      SessionManagerOptions opts = ManagerOptions(capacity);
+      if (capacity == 2) opts.writeback_interval_ms = 1;
+      auto manager = SessionManager::Create(evaluator_.get(), prior_.get(),
+                                            &*store, opts);
+      ASSERT_TRUE(manager.ok()) << manager.status();
+      recsys::SimulatedUser user({0.8, 0.4, -0.2});
+      std::vector<SessionHandle> handles;
+      for (std::size_t s = 0; s < kSessions; ++s) {
+        auto handle = (*manager)->StartSession(s + 1, 11 + s);
+        ASSERT_TRUE(handle.ok()) << handle.status();
+        handles.push_back(*handle);
+      }
+      for (int round = 0; round < kRounds; ++round) {
+        for (SessionHandle& handle : handles) {
+          ASSERT_TRUE(handle.Feedback(&user).get().ok());
+          ASSERT_TRUE(handle.GetTopK().get().ok());
+        }
+      }
+      EXPECT_GT((*manager)->stats().evictions, 0u);
+    }  // Ending the manager checkpoints the sessions still hydrated.
+    EXPECT_GT(store->stats().segment_rolls, 0u);
+    EXPECT_EQ(store->keydir_size(), kSessions);
+    EXPECT_EQ(store->stats().live_records, kSessions);
+
+    ASSERT_TRUE(store->Compact().ok());
+    EXPECT_EQ(store->keydir_size(), kSessions);
+    EXPECT_EQ(store->stats().live_records, kSessions);
+
+    store = Status::Internal("released");
+    auto reopened = storage::SessionStore::Open(path, sopts);
+    ASSERT_TRUE(reopened.ok()) << reopened.status();
+    EXPECT_EQ(reopened->keydir_size(), kSessions);
+    EXPECT_EQ(reopened->stats().live_records, kSessions);
+    for (std::uint64_t id = 1; id <= kSessions; ++id) {
+      auto restored = recsys::PackageRecommender::Create(
+          evaluator_.get(), prior_.get(), RecOptions(), /*seed=*/0);
+      ASSERT_TRUE(restored.ok());
+      ASSERT_TRUE((*restored)->Restore(*reopened, id).ok());
+      EXPECT_EQ((*restored)->round_history().size(),
+                static_cast<std::size_t>(kRounds))
+          << "session " << id;
+    }
+  }
+}
+
+// A session whose store record has an unknown checkpoint version (here
+// version byte 1, the old five-record layout's meta record) fails its
+// requests with Restore's Unimplemented status. It must not start fresh:
+// that would serve a blank session and overwrite the history the record
+// holds.
 TEST_F(SessionManagerFixture, OldLayoutSessionFailsInsteadOfStartingFresh) {
   const std::string path = TempStorePath("oldlayout");
   auto store = storage::SessionStore::Open(path);
@@ -455,8 +518,7 @@ TEST_F(SessionManagerFixture, OldLayoutSessionFailsInsteadOfStartingFresh) {
   ByteWriter old_meta;
   old_meta.PutU8(1);   // Version.
   old_meta.PutU64(1);  // The old layout's checkpoint sequence.
-  ASSERT_TRUE(
-      store->Put(5, storage::kKindCheckpoint, old_meta.bytes()).ok());
+  ASSERT_TRUE(store->Put(5, old_meta.bytes()).ok());
   {
     auto manager = SessionManager::Create(evaluator_.get(), prior_.get(),
                                           &*store, ManagerOptions(2));
@@ -475,7 +537,7 @@ TEST_F(SessionManagerFixture, OldLayoutSessionFailsInsteadOfStartingFresh) {
     }
     EXPECT_EQ((*manager)->stats().hydrated, 0u);
   }
-  auto record = store->Get(5, storage::kKindCheckpoint);
+  auto record = store->Get(5);
   ASSERT_TRUE(record.ok()) << record.status();
   EXPECT_EQ(*record, old_meta.bytes());  // Never overwritten.
 }
@@ -499,7 +561,7 @@ TEST_F(SessionManagerFixture, UnreadableCheckpointFailsInsteadOfStartingFresh) {
       ASSERT_TRUE(handle->Feedback(&user).get().ok());
     }
   }  // Destruction checkpoints the session.
-  auto committed = store->Get(5, storage::kKindCheckpoint);
+  auto committed = store->Get(5);
   ASSERT_TRUE(committed.ok()) << committed.status();
 
   const std::string moved = path + ".moved";
@@ -517,7 +579,7 @@ TEST_F(SessionManagerFixture, UnreadableCheckpointFailsInsteadOfStartingFresh) {
   }
   std::filesystem::rename(moved, path);
 
-  auto record = store->Get(5, storage::kKindCheckpoint);
+  auto record = store->Get(5);
   ASSERT_TRUE(record.ok()) << record.status();
   EXPECT_TRUE(*record == *committed) << "checkpoint overwritten";
   auto restored = recsys::PackageRecommender::Create(

@@ -1,8 +1,9 @@
 // Crash-recovery property tests for the durable-session storage layer:
 // record-log round trips, torn tails at every byte boundary of the final
-// record, CRC rejection of flipped payload bits, keydir latest-wins
-// semantics, tombstones, segment rolls + hint-file startup, cold-segment
-// compaction, fsync-policy accounting, and the single-writer lock.
+// record, CRC rejection of flipped payload bits, bounded point reads,
+// keydir latest-wins semantics, segment rolls + hint-file startup, refusal
+// of old format versions, cold-segment compaction, fsync-policy accounting,
+// and the single-writer lock.
 
 #include <cstdio>
 #include <filesystem>
@@ -12,6 +13,8 @@
 
 #include <gtest/gtest.h>
 
+#include "topkpkg/common/crc32.h"
+#include "topkpkg/common/serde.h"
 #include "topkpkg/storage/hint_file.h"
 #include "topkpkg/storage/record_log.h"
 #include "topkpkg/storage/session_store.h"
@@ -52,6 +55,48 @@ std::string SegPath(const std::string& dir, std::uint64_t id) {
   return dir + "/" + SegmentFileName(id);
 }
 
+void WriteFile(const std::string& path, const std::string& bytes) {
+  std::ofstream f(path, std::ios::binary | std::ios::trunc);
+  f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+// A version-1 segment, written by hand: its record header carried a u32
+// kind after the session id, and the CRC covered session_id ‖ kind ‖
+// payload.
+std::string V1Segment(std::uint64_t session_id, const std::string& payload) {
+  ByteWriter w;
+  w.PutU32(1);  // Format version.
+  ByteWriter key;
+  key.PutU64(session_id);
+  key.PutU32(5);  // Record kind.
+  const std::uint32_t crc =
+      Crc32(payload.data(), payload.size(),
+            Crc32(key.bytes().data(), key.bytes().size()));
+  w.PutU32(static_cast<std::uint32_t>(payload.size()));
+  w.PutU32(crc);
+  w.PutU64(session_id);
+  w.PutU32(5);
+  return std::string("TKPS") + w.bytes() + payload;
+}
+
+// A version-1 hint with one entry (session_id u64 | kind u32 | offset u64
+// | stored_size u64), CRC over everything before the trailer.
+std::string V1Hint(std::uint64_t segment_file_size, std::uint64_t session_id,
+                   std::uint64_t offset, std::uint64_t stored_size) {
+  ByteWriter w;
+  w.PutU32(1);  // Format version.
+  w.PutU64(segment_file_size);
+  w.PutU64(1);  // Entry count.
+  w.PutU64(session_id);
+  w.PutU32(5);  // Record kind.
+  w.PutU64(offset);
+  w.PutU64(stored_size);
+  std::string out = std::string("TKPH") + w.bytes();
+  ByteWriter trailer;
+  trailer.PutU32(Crc32(out.data(), out.size()));
+  return out + trailer.bytes();
+}
+
 TEST(RecordLogTest, AppendReplayRoundTrip) {
   const std::string path = TempStorePath("roundtrip");
   std::vector<Record> want;
@@ -61,9 +106,8 @@ TEST(RecordLogTest, AppendReplayRoundTrip) {
     for (int i = 0; i < 20; ++i) {
       Record rec;
       rec.session_id = static_cast<std::uint64_t>(1 + i % 3);
-      rec.kind = static_cast<RecordKind>(1 + i % 5);
       rec.payload = std::string(static_cast<std::size_t>(i * 7), 'a' + i % 26);
-      auto offset = writer->Append(rec.session_id, rec.kind, rec.payload);
+      auto offset = writer->Append(rec.session_id, rec.payload);
       ASSERT_TRUE(offset.ok()) << offset.status();
       rec.offset = *offset;
       want.push_back(std::move(rec));
@@ -86,7 +130,6 @@ TEST(RecordLogTest, AppendReplayRoundTrip) {
   EXPECT_EQ(stats.records, want.size());
   for (std::size_t i = 0; i < want.size(); ++i) {
     EXPECT_EQ(got[i].session_id, want[i].session_id);
-    EXPECT_EQ(got[i].kind, want[i].kind);
     EXPECT_EQ(got[i].payload, want[i].payload);
     EXPECT_EQ(got[i].offset, want[i].offset);
     // Point reads agree with the replay.
@@ -105,7 +148,7 @@ TEST(RecordLogTest, TornTailAtEveryByteBoundaryStopsCleanly) {
     auto writer = RecordLogWriter::Open(path);
     ASSERT_TRUE(writer.ok());
     for (int i = 0; i < 4; ++i) {
-      auto off = writer->Append(7, 1, "payload-" + std::to_string(i));
+      auto off = writer->Append(7, "payload-" + std::to_string(i));
       ASSERT_TRUE(off.ok());
       last_offset = *off;
     }
@@ -139,8 +182,8 @@ TEST(RecordLogTest, FlippedPayloadBitIsRejectedByCrc) {
   {
     auto writer = RecordLogWriter::Open(path);
     ASSERT_TRUE(writer.ok());
-    ASSERT_TRUE(writer->Append(1, 1, "first-record-payload").ok());
-    auto off = writer->Append(1, 2, "second-record-payload");
+    ASSERT_TRUE(writer->Append(1, "first-record-payload").ok());
+    auto off = writer->Append(2, "second-record-payload");
     ASSERT_TRUE(off.ok());
     second_offset = *off;
     ASSERT_TRUE(writer->Flush().ok());
@@ -181,8 +224,8 @@ TEST(SessionStoreTest, FlippedBitInSegmentFailsOpen) {
   {
     auto store = SessionStore::Open(path);
     ASSERT_TRUE(store.ok()) << store.status();
-    ASSERT_TRUE(store->Put(1, 1, "first-record-payload").ok());
-    ASSERT_TRUE(store->Put(1, 2, "second-record-payload").ok());
+    ASSERT_TRUE(store->Put(1, "first-record-payload").ok());
+    ASSERT_TRUE(store->Put(2, "second-record-payload").ok());
     second_offset = kFileHeaderSize + kRecordHeaderSize +
                     std::string("first-record-payload").size();
   }
@@ -191,12 +234,109 @@ TEST(SessionStoreTest, FlippedBitInSegmentFailsOpen) {
   EXPECT_EQ(SessionStore::Open(path).status().code(), StatusCode::kInternal);
 }
 
+// A flipped high bit in a live record's payload_len, on a sealed segment
+// whose hint stays valid (the file size is unchanged), reaches only the
+// point read. It must fail with a typed error before allocating the
+// declared length.
+TEST(SessionStoreTest, InflatedPayloadLengthFailsPointRead) {
+  const std::string path = TempStorePath("inflatedlen");
+  SessionStoreOptions opts;
+  opts.segment_max_bytes = 256;
+  opts.auto_compact = false;
+  {
+    auto store = SessionStore::Open(path, opts);
+    ASSERT_TRUE(store.ok()) << store.status();
+    for (std::uint64_t session = 1; session <= 8; ++session) {
+      ASSERT_TRUE(store->Put(session, std::string(48, 'a')).ok());
+    }
+    ASSERT_GT(store->stats().segment_rolls, 0u);
+  }
+  // Session 1's record opens segment 1; its payload_len is the first field.
+  std::fstream f(SegPath(path, 1),
+                 std::ios::binary | std::ios::in | std::ios::out);
+  ASSERT_TRUE(f.is_open());
+  f.seekp(static_cast<std::streamoff>(kFileHeaderSize + 3));
+  f.put(static_cast<char>(0xFF));  // payload_len += ~4 GiB.
+  f.close();
+
+  auto store = SessionStore::Open(path, opts);
+  ASSERT_TRUE(store.ok()) << store.status();
+  EXPECT_EQ(store->stats().scanned_startup_segments, 0u);
+  EXPECT_TRUE(store->Contains(1));
+  const Result<std::string> got = store->Get(1);
+  EXPECT_EQ(got.status().code(), StatusCode::kOutOfRange) << got.status();
+  EXPECT_EQ(*store->Get(2), std::string(48, 'a'));
+}
+
+// A version-1 store is refused at Open, not migrated or misread, whether
+// its segment is the active one or sealed with a version-1 hint.
+TEST(SessionStoreTest, VersionOneSegmentIsRefused) {
+  const std::string segment = V1Segment(7, "old-checkpoint");
+  for (const bool with_hint : {false, true}) {
+    SCOPED_TRACE(with_hint ? "with hint" : "without hint");
+    const std::string path = TempStorePath("v1segment");
+    std::filesystem::create_directories(path);
+    WriteFile(SegPath(path, 1), segment);
+    if (with_hint) {
+      WriteFile(path + "/" + SegmentHintName(1),
+                V1Hint(segment.size(), 7, kFileHeaderSize,
+                       segment.size() - kFileHeaderSize));
+    }
+    const Status st = SessionStore::Open(path).status();
+    EXPECT_EQ(st.code(), StatusCode::kUnimplemented) << st;
+    EXPECT_NE(st.message().find("version 1"), std::string::npos) << st;
+    EXPECT_NE(st.message().find("version 2"), std::string::npos) << st;
+    // The refused segment is left as it was.
+    std::ifstream in(SegPath(path, 1), std::ios::binary);
+    const std::string left((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    EXPECT_EQ(left, segment);
+  }
+}
+
+// A hint is a cache: a version-1 hint next to a current segment is ignored,
+// the segment scanned, and the hint rewritten in the current version.
+TEST(SessionStoreTest, VersionOneHintFallsBackToScanAndIsRewritten) {
+  const std::string path = TempStorePath("v1hint");
+  SessionStoreOptions opts;
+  opts.segment_max_bytes = 256;
+  opts.auto_compact = false;
+  {
+    auto store = SessionStore::Open(path, opts);
+    ASSERT_TRUE(store.ok()) << store.status();
+    for (std::uint64_t session = 1; session <= 8; ++session) {
+      ASSERT_TRUE(store->Put(session, "v" + std::string(48, 'b')).ok());
+    }
+    ASSERT_GT(store->stats().segment_rolls, 0u);
+  }
+  const std::string hint = path + "/" + SegmentHintName(1);
+  // Same segment size, so only the version tells the hint apart.
+  WriteFile(hint, V1Hint(FileSize(SegPath(path, 1)), 1, kFileHeaderSize,
+                         kRecordHeaderSize + 49));
+  EXPECT_EQ(LoadHintFile(hint).status().code(), StatusCode::kUnimplemented);
+  {
+    auto store = SessionStore::Open(path, opts);
+    ASSERT_TRUE(store.ok()) << store.status();
+    EXPECT_EQ(store->stats().scanned_startup_segments, 1u);
+    EXPECT_EQ(store->keydir_size(), 8u);
+    for (std::uint64_t session = 1; session <= 8; ++session) {
+      EXPECT_EQ(*store->Get(session), "v" + std::string(48, 'b'));
+    }
+  }
+  auto rewritten = LoadHintFile(hint);
+  ASSERT_TRUE(rewritten.ok()) << rewritten.status();
+  EXPECT_FALSE(rewritten->entries.empty());
+  auto healed = SessionStore::Open(path, opts);
+  ASSERT_TRUE(healed.ok()) << healed.status();
+  EXPECT_EQ(healed->stats().scanned_startup_segments, 0u);
+}
+
 TEST(SessionStoreTest, OpenRejectsLegacySingleFileStore) {
   const std::string path = TempStorePath("legacy");
   {
     auto writer = RecordLogWriter::Open(path);
     ASSERT_TRUE(writer.ok());
-    ASSERT_TRUE(writer->Append(1, 1, "old-format").ok());
+    ASSERT_TRUE(writer->Append(1, "old-format").ok());
   }
   EXPECT_EQ(SessionStore::Open(path).status().code(),
             StatusCode::kFailedPrecondition);
@@ -206,7 +346,7 @@ TEST(SessionStoreTest, SecondWriterIsRejectedWhileFirstHoldsTheLock) {
   const std::string path = TempStorePath("lock");
   auto store = SessionStore::Open(path);
   ASSERT_TRUE(store.ok()) << store.status();
-  ASSERT_TRUE(store->Put(1, 1, "held").ok());
+  ASSERT_TRUE(store->Put(1, "held").ok());
   // flock is per open file description, so even a same-process second open
   // must bounce.
   auto second = SessionStore::Open(path);
@@ -215,44 +355,35 @@ TEST(SessionStoreTest, SecondWriterIsRejectedWhileFirstHoldsTheLock) {
   store = Status::Internal("released");
   auto third = SessionStore::Open(path);
   ASSERT_TRUE(third.ok()) << third.status();
-  EXPECT_EQ(*third->Get(1, 1), "held");
+  EXPECT_EQ(*third->Get(1), "held");
 }
 
-TEST(SessionStoreTest, KeydirLatestWinsAndTombstones) {
+TEST(SessionStoreTest, KeydirLatestWins) {
   const std::string path = TempStorePath("keydir");
   {
     auto store = SessionStore::Open(path);
     ASSERT_TRUE(store.ok()) << store.status();
-    ASSERT_TRUE(store->Put(1, 1, "v1").ok());
-    ASSERT_TRUE(store->Put(1, 1, "v2").ok());
-    ASSERT_TRUE(store->Put(1, 2, "other-kind").ok());
-    ASSERT_TRUE(store->Put(2, 1, "session-2").ok());
+    ASSERT_TRUE(store->Put(1, "v1").ok());
+    ASSERT_TRUE(store->Put(1, "v2").ok());
+    ASSERT_TRUE(store->Put(3, "other-session").ok());
+    ASSERT_TRUE(store->Put(2, "session-2").ok());
 
-    auto got = store->Get(1, 1);
+    auto got = store->Get(1);
     ASSERT_TRUE(got.ok());
     EXPECT_EQ(*got, "v2");
-    EXPECT_TRUE(store->Contains(1, 2));
-    EXPECT_EQ(store->Get(1, 3).status().code(), StatusCode::kNotFound);
-    EXPECT_EQ(store->SessionIds(), (std::vector<std::uint64_t>{1, 2}));
-    EXPECT_EQ(store->KindsOf(1), (std::vector<RecordKind>{1, 2}));
-
-    ASSERT_TRUE(store->Delete(1, 1).ok());
-    EXPECT_EQ(store->Get(1, 1).status().code(), StatusCode::kNotFound);
-    ASSERT_TRUE(store->Put(1, 1, "v3").ok());
-    EXPECT_EQ(*store->Get(1, 1), "v3");
-
-    ASSERT_TRUE(store->DeleteSession(1).ok());
-    EXPECT_TRUE(store->SessionIds() == std::vector<std::uint64_t>{2});
+    EXPECT_TRUE(store->Contains(3));
+    EXPECT_FALSE(store->Contains(4));
+    EXPECT_EQ(store->Get(4).status().code(), StatusCode::kNotFound);
+    EXPECT_EQ(store->keydir_size(), 3u);
   }
   // Everything above replays to the same view.
   auto reopened = SessionStore::Open(path);
   ASSERT_TRUE(reopened.ok()) << reopened.status();
-  EXPECT_EQ(reopened->SessionIds(), std::vector<std::uint64_t>{2});
-  EXPECT_EQ(*reopened->Get(2, 1), "session-2");
-  EXPECT_FALSE(reopened->Contains(1, 1));
-  // Reserved kinds are rejected at the API.
-  EXPECT_EQ(reopened->Put(1, kTombstoneBit | 1, "x").code(),
-            StatusCode::kInvalidArgument);
+  EXPECT_EQ(reopened->keydir_size(), 3u);
+  EXPECT_EQ(*reopened->Get(1), "v2");
+  EXPECT_EQ(*reopened->Get(2), "session-2");
+  EXPECT_EQ(*reopened->Get(3), "other-session");
+  EXPECT_FALSE(reopened->Contains(4));
 }
 
 TEST(SessionStoreTest, OpenTruncatesTornTailAndKeepsAppending) {
@@ -260,8 +391,8 @@ TEST(SessionStoreTest, OpenTruncatesTornTailAndKeepsAppending) {
   {
     auto store = SessionStore::Open(path);
     ASSERT_TRUE(store.ok());
-    ASSERT_TRUE(store->Put(1, 1, "committed").ok());
-    ASSERT_TRUE(store->Put(1, 2, "torn-away-below").ok());
+    ASSERT_TRUE(store->Put(1, "committed").ok());
+    ASSERT_TRUE(store->Put(2, "torn-away-below").ok());
   }
   // Simulate a crash mid-append of the second record (all records live in
   // the first, still-active segment).
@@ -271,15 +402,15 @@ TEST(SessionStoreTest, OpenTruncatesTornTailAndKeepsAppending) {
     auto store = SessionStore::Open(path);
     ASSERT_TRUE(store.ok()) << store.status();
     EXPECT_TRUE(store->stats().recovered_torn_tail);
-    EXPECT_EQ(*store->Get(1, 1), "committed");
-    EXPECT_FALSE(store->Contains(1, 2));
+    EXPECT_EQ(*store->Get(1), "committed");
+    EXPECT_FALSE(store->Contains(2));
     // Appending after recovery lands on a clean boundary.
-    ASSERT_TRUE(store->Put(1, 2, "rewritten").ok());
+    ASSERT_TRUE(store->Put(2, "rewritten").ok());
   }
   auto store = SessionStore::Open(path);
   ASSERT_TRUE(store.ok()) << store.status();
   EXPECT_FALSE(store->stats().recovered_torn_tail);
-  EXPECT_EQ(*store->Get(1, 2), "rewritten");
+  EXPECT_EQ(*store->Get(2), "rewritten");
 }
 
 TEST(SessionStoreTest, PartialFileHeaderIsStartedOver) {
@@ -294,11 +425,11 @@ TEST(SessionStoreTest, PartialFileHeaderIsStartedOver) {
   auto store = SessionStore::Open(path);
   ASSERT_TRUE(store.ok()) << store.status();
   EXPECT_EQ(store->keydir_size(), 0u);
-  ASSERT_TRUE(store->Put(1, 1, "fresh-start").ok());
+  ASSERT_TRUE(store->Put(1, "fresh-start").ok());
   store = Status::Internal("released");
   auto reopened = SessionStore::Open(path);
   ASSERT_TRUE(reopened.ok());
-  EXPECT_EQ(*reopened->Get(1, 1), "fresh-start");
+  EXPECT_EQ(*reopened->Get(1), "fresh-start");
 }
 
 TEST(SessionStoreTest, SegmentRollsAndHintFilesDriveStartup) {
@@ -313,13 +444,12 @@ TEST(SessionStoreTest, SegmentRollsAndHintFilesDriveStartup) {
     for (int round = 0; round < 6; ++round) {
       for (std::uint64_t session = 1; session <= 4; ++session) {
         ASSERT_TRUE(store
-                        ->Put(session, 1,
+                        ->Put(session,
                               "s" + std::to_string(session) + "-r" +
                                   std::to_string(round) + std::string(48, 'p'))
                         .ok());
       }
     }
-    ASSERT_TRUE(store->DeleteSession(4).ok());
     rolls = store->stats().segment_rolls;
     ASSERT_GT(rolls, 2u);
     EXPECT_EQ(store->stats().segments, rolls + 1);
@@ -330,12 +460,11 @@ TEST(SessionStoreTest, SegmentRollsAndHintFilesDriveStartup) {
   ASSERT_TRUE(reopened.ok()) << reopened.status();
   EXPECT_EQ(reopened->stats().hint_startup_segments, rolls);
   EXPECT_EQ(reopened->stats().scanned_startup_segments, 0u);
-  EXPECT_EQ(reopened->SessionIds(), (std::vector<std::uint64_t>{1, 2, 3}));
-  for (std::uint64_t session = 1; session <= 3; ++session) {
-    EXPECT_EQ(*reopened->Get(session, 1),
+  EXPECT_EQ(reopened->keydir_size(), 4u);
+  for (std::uint64_t session = 1; session <= 4; ++session) {
+    EXPECT_EQ(*reopened->Get(session),
               "s" + std::to_string(session) + "-r5" + std::string(48, 'p'));
   }
-  EXPECT_FALSE(reopened->Contains(4, 1));
 }
 
 TEST(SessionStoreTest, CorruptHintFallsBackToScanAndHealsItself) {
@@ -348,7 +477,7 @@ TEST(SessionStoreTest, CorruptHintFallsBackToScanAndHealsItself) {
     ASSERT_TRUE(store.ok());
     for (int i = 0; i < 12; ++i) {
       ASSERT_TRUE(
-          store->Put(1, static_cast<RecordKind>(1 + i % 3),
+          store->Put(static_cast<std::uint64_t>(1 + i % 3),
                      "value-" + std::to_string(i) + std::string(60, 'h'))
               .ok());
     }
@@ -362,7 +491,7 @@ TEST(SessionStoreTest, CorruptHintFallsBackToScanAndHealsItself) {
     auto store = SessionStore::Open(path, opts);
     ASSERT_TRUE(store.ok()) << store.status();
     EXPECT_EQ(store->stats().scanned_startup_segments, 1u);
-    EXPECT_EQ(*store->Get(1, 3), "value-11" + std::string(60, 'h'));
+    EXPECT_EQ(*store->Get(3), "value-11" + std::string(60, 'h'));
   }
   auto healed = SessionStore::Open(path, opts);
   ASSERT_TRUE(healed.ok());
@@ -377,19 +506,15 @@ TEST(SessionStoreTest, CompactionDropsSupersededRecordsAndShrinksFile) {
   {
     auto store = SessionStore::Open(path, opts);
     ASSERT_TRUE(store.ok());
-    // Multi-checkpoint shape: the same keys rewritten many times.
+    // Multi-checkpoint shape: the same sessions rewritten many times.
     for (int round = 0; round < 10; ++round) {
-      for (std::uint64_t session = 1; session <= 3; ++session) {
-        for (RecordKind kind = 1; kind <= 4; ++kind) {
-          ASSERT_TRUE(store
-                          ->Put(session, kind,
-                                "round-" + std::to_string(round) +
-                                    "-payload-" + std::string(64, 'x'))
-                          .ok());
-        }
+      for (std::uint64_t session = 1; session <= 12; ++session) {
+        ASSERT_TRUE(store
+                        ->Put(session, "round-" + std::to_string(round) +
+                                           "-payload-" + std::string(64, 'x'))
+                        .ok());
       }
     }
-    ASSERT_TRUE(store->Delete(3, 4).ok());
     before = store->stats().file_bytes;
     const std::uint64_t dead_before = store->stats().dead_bytes;
     EXPECT_GT(dead_before, 0u);
@@ -398,30 +523,24 @@ TEST(SessionStoreTest, CompactionDropsSupersededRecordsAndShrinksFile) {
     EXPECT_LT(store->stats().file_bytes, before);
     EXPECT_EQ(store->stats().dead_bytes, 0u);
     EXPECT_EQ(store->stats().live_records, store->keydir_size());
-    EXPECT_EQ(store->keydir_size(), 3u * 4u - 1u);
+    EXPECT_EQ(store->keydir_size(), 12u);
 
     // Every live value survives through the compacted handle.
-    for (std::uint64_t session = 1; session <= 3; ++session) {
-      for (RecordKind kind = 1; kind <= 4; ++kind) {
-        if (session == 3 && kind == 4) {
-          EXPECT_FALSE(store->Contains(session, kind));
-          continue;
-        }
-        auto got = store->Get(session, kind);
-        ASSERT_TRUE(got.ok()) << got.status();
-        EXPECT_EQ(*got, "round-9-payload-" + std::string(64, 'x'));
-      }
+    for (std::uint64_t session = 1; session <= 12; ++session) {
+      auto got = store->Get(session);
+      ASSERT_TRUE(got.ok()) << got.status();
+      EXPECT_EQ(*got, "round-9-payload-" + std::string(64, 'x'));
     }
     // The store keeps appending normally after a compaction.
-    ASSERT_TRUE(store->Put(5, 1, "post-compact").ok());
-    EXPECT_EQ(*store->Get(5, 1), "post-compact");
+    ASSERT_TRUE(store->Put(13, "post-compact").ok());
+    EXPECT_EQ(*store->Get(13), "post-compact");
   }
   // ... and through a fresh replay of the compacted segments.
   auto reopened = SessionStore::Open(path, opts);
   ASSERT_TRUE(reopened.ok()) << reopened.status();
-  EXPECT_EQ(reopened->keydir_size(), 12u);
-  EXPECT_EQ(*reopened->Get(2, 3), "round-9-payload-" + std::string(64, 'x'));
-  EXPECT_EQ(*reopened->Get(5, 1), "post-compact");
+  EXPECT_EQ(reopened->keydir_size(), 13u);
+  EXPECT_EQ(*reopened->Get(7), "round-9-payload-" + std::string(64, 'x'));
+  EXPECT_EQ(*reopened->Get(13), "post-compact");
 }
 
 TEST(SessionStoreTest, AutoCompactionBoundsDeadBytes) {
@@ -433,7 +552,7 @@ TEST(SessionStoreTest, AutoCompactionBoundsDeadBytes) {
   ASSERT_TRUE(store.ok());
   // Rewriting one key over and over makes every sealed segment ~all dead.
   for (int i = 0; i < 200; ++i) {
-    ASSERT_TRUE(store->Put(1, 1, std::string(100, 'a' + i % 26)).ok());
+    ASSERT_TRUE(store->Put(1, std::string(100, 'a' + i % 26)).ok());
   }
   EXPECT_GT(store->stats().auto_compactions, 0u);
   EXPECT_EQ(store->stats().failed_auto_compactions, 0u);
@@ -441,7 +560,7 @@ TEST(SessionStoreTest, AutoCompactionBoundsDeadBytes) {
   // old segment files actually disappear from disk.
   EXPECT_LT(store->stats().segments, 4u);
   EXPECT_LT(store->stats().file_bytes, 4u * 512u + 4096u);
-  EXPECT_EQ(*store->Get(1, 1), std::string(100, 'a' + 199 % 26));
+  EXPECT_EQ(*store->Get(1), std::string(100, 'a' + 199 % 26));
 }
 
 TEST(SessionStoreTest, FsyncPolicyControlsSyncCadence) {
@@ -451,7 +570,7 @@ TEST(SessionStoreTest, FsyncPolicyControlsSyncCadence) {
     auto store = SessionStore::Open(TempStorePath("policy_every"), opts);
     ASSERT_TRUE(store.ok());
     for (int i = 0; i < 10; ++i) {
-      ASSERT_TRUE(store->Put(1, 1, "v").ok());
+      ASSERT_TRUE(store->Put(1, "v").ok());
     }
     EXPECT_EQ(store->stats().fsyncs, 10u);
   }
@@ -462,7 +581,7 @@ TEST(SessionStoreTest, FsyncPolicyControlsSyncCadence) {
     auto store = SessionStore::Open(TempStorePath("policy_interval"), opts);
     ASSERT_TRUE(store.ok());
     for (int i = 0; i < 10; ++i) {
-      ASSERT_TRUE(store->Put(1, 1, "v").ok());
+      ASSERT_TRUE(store->Put(1, "v").ok());
     }
     // Two full group commits; Flush drains the remaining window of two.
     EXPECT_EQ(store->stats().fsyncs, 2u);
@@ -477,7 +596,7 @@ TEST(SessionStoreTest, FsyncPolicyControlsSyncCadence) {
     auto store = SessionStore::Open(TempStorePath("policy_none"), opts);
     ASSERT_TRUE(store.ok());
     for (int i = 0; i < 10; ++i) {
-      ASSERT_TRUE(store->Put(1, 1, "v").ok());
+      ASSERT_TRUE(store->Put(1, "v").ok());
     }
     ASSERT_TRUE(store->Flush().ok());
     EXPECT_EQ(store->stats().fsyncs, 0u);
@@ -498,9 +617,9 @@ TEST(SessionStoreTest, FlushTimerDrainsAnOpenWindowDeterministically) {
   ASSERT_TRUE(store.ok());
 
   // A trickle of puts inside the window: no fsync yet.
-  ASSERT_TRUE(store->Put(1, 1, "a").ok());
+  ASSERT_TRUE(store->Put(1, "a").ok());
   now_ms += 20;
-  ASSERT_TRUE(store->Put(1, 2, "b").ok());
+  ASSERT_TRUE(store->Put(2, "b").ok());
   EXPECT_EQ(store->stats().fsyncs, 0u);
 
   // Before the deadline MaybeFlush is a no-op; at the deadline it drains
@@ -515,7 +634,7 @@ TEST(SessionStoreTest, FlushTimerDrainsAnOpenWindowDeterministically) {
   EXPECT_EQ(store->stats().fsyncs, 1u);
 
   // The next put opens a fresh window with a fresh deadline.
-  ASSERT_TRUE(store->Put(1, 3, "c").ok());
+  ASSERT_TRUE(store->Put(3, "c").ok());
   ASSERT_TRUE(store->MaybeFlush().ok());
   EXPECT_EQ(store->stats().fsyncs, 1u);
   now_ms += 50;
@@ -524,9 +643,9 @@ TEST(SessionStoreTest, FlushTimerDrainsAnOpenWindowDeterministically) {
 
   // An overdue window is also drained by the mutation path itself: a put
   // landing past the deadline syncs inline without waiting for a poll.
-  ASSERT_TRUE(store->Put(1, 4, "d").ok());
+  ASSERT_TRUE(store->Put(4, "d").ok());
   now_ms += 60;
-  ASSERT_TRUE(store->Put(1, 5, "e").ok());
+  ASSERT_TRUE(store->Put(5, "e").ok());
   EXPECT_EQ(store->stats().fsyncs, 3u);
 }
 
@@ -539,12 +658,12 @@ TEST(SessionStoreTest, FlushTimerDisabledKeepsCountOnlyGroupCommit) {
   opts.clock_ms = [&now_ms]() { return now_ms; };
   auto store = SessionStore::Open(TempStorePath("flush_timer_off"), opts);
   ASSERT_TRUE(store.ok());
-  ASSERT_TRUE(store->Put(1, 1, "a").ok());
+  ASSERT_TRUE(store->Put(1, "a").ok());
   now_ms += 1000000;  // However much time passes...
   ASSERT_TRUE(store->MaybeFlush().ok());
   EXPECT_EQ(store->stats().fsyncs, 0u);  // ...the poll never syncs.
   for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(store->Put(1, 1, "b").ok());
+    ASSERT_TRUE(store->Put(1, "b").ok());
   }
   EXPECT_EQ(store->stats().fsyncs, 1u);  // The count path still does.
 }
@@ -558,9 +677,8 @@ TEST(SessionStoreTest, InterleavedSessionsRestoreIndependently) {
     for (int round = 0; round < 5; ++round) {
       for (std::uint64_t session = 1; session <= 4; ++session) {
         ASSERT_TRUE(store
-                        ->Put(session, 1,
-                              "s" + std::to_string(session) + "-r" +
-                                  std::to_string(round))
+                        ->Put(session, "s" + std::to_string(session) + "-r" +
+                                           std::to_string(round))
                         .ok());
       }
     }
@@ -568,7 +686,7 @@ TEST(SessionStoreTest, InterleavedSessionsRestoreIndependently) {
   auto reopened = SessionStore::Open(path);
   ASSERT_TRUE(reopened.ok());
   for (std::uint64_t session = 1; session <= 4; ++session) {
-    auto got = reopened->Get(session, 1);
+    auto got = reopened->Get(session);
     ASSERT_TRUE(got.ok());
     EXPECT_EQ(*got, "s" + std::to_string(session) + "-r4");
   }

@@ -35,8 +35,7 @@
 namespace topkpkg::storage {
 namespace {
 
-using ModelKey = std::pair<std::uint64_t, RecordKind>;
-using ModelState = std::map<ModelKey, std::string>;
+using ModelState = std::map<std::uint64_t, std::string>;
 
 constexpr int kWorkloadOps = 40;
 constexpr int kCompactAtOp = 25;
@@ -58,46 +57,31 @@ SessionStoreOptions SmallSegmentOptions(FsyncPolicy policy, Env* env) {
   return opts;
 }
 
-// Applies workload step `i` to the model. Step kCompactAtOp is a manual
-// Compact — no logical change. Deterministic, overwrite-heavy (so sealed
-// segments go mostly dead and auto-compaction fires mid-sweep).
-void ApplyModelOp(int i, ModelState& state) {
-  const std::uint64_t sid = 1 + static_cast<std::uint64_t>(i % 4);
-  if (i == kCompactAtOp) return;
-  if (i % 11 == 7) {
-    for (auto it = state.lower_bound(ModelKey{sid, 0});
-         it != state.end() && it->first.first == sid;) {
-      it = state.erase(it);
-    }
-    return;
-  }
-  const RecordKind kind = 1 + static_cast<RecordKind>(i % 3);
-  if (i % 7 == 3) {
-    state.erase(ModelKey{sid, kind});
-    return;
-  }
-  state[ModelKey{sid, kind}] =
-      "op-" + std::to_string(i) + "-" +
-      std::string(20 + static_cast<std::size_t>(i * 13 % 60), 'a' + i % 26);
+// Workload step `i`: a put to session 1 + i % 12, except step kCompactAtOp,
+// a manual Compact with no logical change. Deterministic, overwrite-heavy
+// (so sealed segments go mostly dead and auto-compaction fires mid-sweep).
+std::uint64_t OpSession(int i) {
+  return 1 + static_cast<std::uint64_t>(i % 12);
 }
 
-// Applies workload step `i` to the store.
+std::string OpValue(int i) {
+  return "op-" + std::to_string(i) + "-" +
+         std::string(20 + static_cast<std::size_t>(i * 13 % 60), 'a' + i % 26);
+}
+
+void ApplyModelOp(int i, ModelState& state) {
+  if (i != kCompactAtOp) state[OpSession(i)] = OpValue(i);
+}
+
 Status ApplyStoreOp(int i, SessionStore& store) {
-  const std::uint64_t sid = 1 + static_cast<std::uint64_t>(i % 4);
   if (i == kCompactAtOp) return store.Compact();
-  if (i % 11 == 7) return store.DeleteSession(sid);
-  const RecordKind kind = 1 + static_cast<RecordKind>(i % 3);
-  if (i % 7 == 3) return store.Delete(sid, kind);
-  return store.Put(
-      sid, kind,
-      "op-" + std::to_string(i) + "-" +
-          std::string(20 + static_cast<std::size_t>(i * 13 % 60), 'a' + i % 26));
+  return store.Put(OpSession(i), OpValue(i));
 }
 
 bool StoreMatches(const SessionStore& store, const ModelState& snapshot) {
   if (store.keydir_size() != snapshot.size()) return false;
-  for (const auto& [key, value] : snapshot) {
-    auto got = store.Get(key.first, key.second);
+  for (const auto& [session_id, value] : snapshot) {
+    auto got = store.Get(session_id);
     if (!got.ok() || *got != value) return false;
   }
   return true;
@@ -195,8 +179,8 @@ void RunCrashSweep(FsyncPolicy policy, const std::string& name, int stride) {
     EXPECT_TRUE(matched) << "recovered state matches no model snapshot in ["
                          << floor << ", " << attempted << "]";
     // The recovered store must be fully writable again.
-    ASSERT_TRUE(recovered->Put(99, 1, "post-recovery-probe").ok());
-    EXPECT_EQ(*recovered->Get(99, 1), "post-recovery-probe");
+    ASSERT_TRUE(recovered->Put(99, "post-recovery-probe").ok());
+    EXPECT_EQ(*recovered->Get(99), "post-recovery-probe");
   }
 }
 
@@ -224,14 +208,14 @@ TEST(StorageFaultTest, AcknowledgedSyncedPutSurvivesTotalPageCacheLoss) {
   {
     auto store = SessionStore::Open(path, opts);
     ASSERT_TRUE(store.ok());
-    ASSERT_TRUE(store->Put(7, 1, "must-survive").ok());
-    ASSERT_TRUE(store->Put(7, 2, "also-durable").ok());
+    ASSERT_TRUE(store->Put(7, "must-survive").ok());
+    ASSERT_TRUE(store->Put(8, "also-durable").ok());
   }
   ASSERT_TRUE(env.LoseUnsyncedData(0).ok());
   auto recovered = SessionStore::Open(path, opts);
   ASSERT_TRUE(recovered.ok()) << recovered.status();
-  EXPECT_EQ(*recovered->Get(7, 1), "must-survive");
-  EXPECT_EQ(*recovered->Get(7, 2), "also-durable");
+  EXPECT_EQ(*recovered->Get(7), "must-survive");
+  EXPECT_EQ(*recovered->Get(8), "also-durable");
 }
 
 // Transient outage shape (the one SessionManager retries against): writes
@@ -244,17 +228,17 @@ TEST(StorageFaultTest, TransientOutageFailsPutsThenHealsInPlace) {
   opts.env = &env;
   auto store = SessionStore::Open(path, opts);
   ASSERT_TRUE(store.ok());
-  ASSERT_TRUE(store->Put(1, 1, "before").ok());
+  ASSERT_TRUE(store->Put(1, "before").ok());
 
   env.set_fail_writes(true);
-  EXPECT_FALSE(store->Put(1, 1, "during").ok());
-  EXPECT_FALSE(store->Put(2, 1, "during-2").ok());
+  EXPECT_FALSE(store->Put(1, "during").ok());
+  EXPECT_FALSE(store->Put(2, "during-2").ok());
   // Reads keep working off the keydir through the outage.
-  EXPECT_EQ(*store->Get(1, 1), "before");
+  EXPECT_EQ(*store->Get(1), "before");
 
   env.set_fail_writes(false);
-  ASSERT_TRUE(store->Put(1, 1, "after").ok());
-  EXPECT_EQ(*store->Get(1, 1), "after");
+  ASSERT_TRUE(store->Put(1, "after").ok());
+  EXPECT_EQ(*store->Get(1), "after");
   ASSERT_TRUE(store->Sync().ok());
 }
 
@@ -264,7 +248,7 @@ TEST(SessionStoreLockTest, SecondProcessOpenFailsFailedPrecondition) {
   const std::string path = TempStorePath("two_process_lock");
   auto store = SessionStore::Open(path);
   ASSERT_TRUE(store.ok()) << store.status();
-  ASSERT_TRUE(store->Put(1, 1, "parent-owns-this").ok());
+  ASSERT_TRUE(store->Put(1, "parent-owns-this").ok());
 
   const pid_t pid = ::fork();
   ASSERT_GE(pid, 0);
@@ -281,7 +265,7 @@ TEST(SessionStoreLockTest, SecondProcessOpenFailsFailedPrecondition) {
   EXPECT_EQ(WEXITSTATUS(wstatus), 0);
 
   // Parent's handle never noticed.
-  ASSERT_TRUE(store->Put(1, 2, "still-writable").ok());
+  ASSERT_TRUE(store->Put(2, "still-writable").ok());
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // store_crashgen — deterministic crash-state generator for the session
 // store, built for the CI crash-injection loop.
 //
-// Runs a fixed overwrite-heavy workload (puts, deletes, session deletes,
-// one manual compaction) against a SessionStore on a FaultInjectingEnv
+// Runs a fixed overwrite-heavy workload (puts over 12 session ids, one
+// manual compaction) against a SessionStore on a FaultInjectingEnv
 // with tiny segments, so rolls and compactions fire. With --crash-at=N the
 // N-th mutating filesystem operation kills the store mid-flight (a short
 // write, a failed fsync, a dropped rename — wherever op N lands); the tool
@@ -37,7 +37,6 @@ using topkpkg::Status;
 using topkpkg::storage::Env;
 using topkpkg::storage::FaultInjectingEnv;
 using topkpkg::storage::FsyncPolicy;
-using topkpkg::storage::RecordKind;
 using topkpkg::storage::SessionStore;
 using topkpkg::storage::SessionStoreOptions;
 
@@ -54,13 +53,9 @@ SessionStoreOptions SmallSegmentOptions(Env* env) {
 // Same deterministic workload shape as the crash-sweep property test:
 // overwrite-heavy so sealed segments go mostly dead and compaction fires.
 Status ApplyOp(int i, SessionStore& store) {
-  const std::uint64_t sid = 1 + static_cast<std::uint64_t>(i % 4);
   if (i == 25) return store.Compact();
-  if (i % 11 == 7) return store.DeleteSession(sid);
-  const RecordKind kind = 1 + static_cast<RecordKind>(i % 3);
-  if (i % 7 == 3) return store.Delete(sid, kind);
   return store.Put(
-      sid, kind,
+      1 + static_cast<std::uint64_t>(i % 12),
       "op-" + std::to_string(i) + "-" +
           std::string(20 + static_cast<std::size_t>(i * 13 % 60),
                       static_cast<char>('a' + i % 26)));
@@ -146,7 +141,7 @@ int main(int argc, char** argv) {
                  crash_at, acked, recovered.status().ToString().c_str());
     return 2;
   }
-  Status probe = recovered->Put(999, 1, "post-recovery-probe");
+  Status probe = recovered->Put(999, "post-recovery-probe");
   Status flushed = probe.ok() ? recovered->Flush() : probe;
   if (!flushed.ok()) {
     std::fprintf(stderr,

@@ -4,7 +4,7 @@
 // mode (CRC failures are counted, not fatal), rebuilds the keydir the way
 // SessionStore::Open would, and cross-checks each hint file against the
 // scan: a hint must decode, match its segment's size, and list exactly the
-// latest event per key plus every whole-session tombstone. Stale or absent
+// latest record per session in that segment, by offset. Stale or absent
 // hints are notes (the engine scan-falls-back and rewrites them); a hint
 // that *disagrees* with its segment's contents is corruption.
 //
@@ -17,6 +17,8 @@
 // after a clean open never has one).
 //
 // Usage: store_fsck [--verbose] [--allow-torn-tail] <store-dir>
+//   --verbose  also prints every record: segment, offset, session id and
+//              payload size.
 //
 // CI runs it both against the store example_durable_session writes and
 // after every store_crashgen crash-recovery cycle, so the on-disk format
@@ -32,7 +34,6 @@
 #include <string>
 #include <vector>
 
-#include "topkpkg/storage/codec.h"
 #include "topkpkg/storage/hint_file.h"
 #include "topkpkg/storage/record_log.h"
 #include "topkpkg/storage/session_store.h"
@@ -41,78 +42,28 @@ namespace {
 
 using topkpkg::Result;
 using topkpkg::Status;
-using topkpkg::storage::HintEvent;
+using topkpkg::storage::HintEntry;
 using topkpkg::storage::HintFileContents;
 using topkpkg::storage::kFileHeaderSize;
-using topkpkg::storage::kSessionTombstone;
-using topkpkg::storage::kTombstoneBit;
 using topkpkg::storage::LoadHintFile;
 using topkpkg::storage::ParseSegmentFileName;
 using topkpkg::storage::Record;
-using topkpkg::storage::RecordKind;
 using topkpkg::storage::RecordLogReader;
 using topkpkg::storage::ReplayStats;
 using topkpkg::storage::SegmentFileName;
 using topkpkg::storage::SegmentHintName;
 
-const char* KindName(RecordKind kind) {
-  if (kind == kSessionTombstone) return "session-tombstone";
-  if ((kind & kTombstoneBit) != 0) return "tombstone";
-  if (kind == topkpkg::storage::kKindCheckpoint) return "checkpoint";
-  return "unknown";
-}
-
-using Key = std::pair<std::uint64_t, RecordKind>;
-
-// Shadow of the store's in-memory index: latest live record per key, with
-// the segment it lives in (for the dead-byte split).
-struct KeydirShadow {
-  std::map<Key, std::uint64_t> live;  // key -> stored size
-
-  void Apply(const Record& rec) {
-    if (rec.kind == kSessionTombstone) {
-      auto it = live.lower_bound({rec.session_id, 0});
-      while (it != live.end() && it->first.first == rec.session_id) {
-        it = live.erase(it);
-      }
-    } else if ((rec.kind & kTombstoneBit) != 0) {
-      live.erase({rec.session_id, rec.kind & ~kTombstoneBit});
-    } else {
-      live[{rec.session_id, rec.kind}] = rec.StoredSize();
-    }
-  }
-};
-
-// What a correct hint for the scanned segment must contain — the same
-// latest-event ∪ session-tombstone set SessionStore::PendingHint tracks.
-struct ExpectedHint {
-  std::map<Key, HintEvent> latest;
-  std::vector<HintEvent> session_tombs;
-
-  void Track(const Record& rec) {
-    HintEvent ev{rec.session_id, rec.kind, rec.offset, rec.StoredSize()};
-    if (rec.kind == kSessionTombstone) {
-      session_tombs.push_back(ev);
-      return;
-    }
-    latest[{rec.session_id, rec.kind & ~kTombstoneBit}] = ev;
-  }
-
-  std::vector<HintEvent> Collect() const {
-    std::vector<HintEvent> out;
-    for (const auto& [key, ev] : latest) out.push_back(ev);
-    out.insert(out.end(), session_tombs.begin(), session_tombs.end());
-    std::sort(out.begin(), out.end(),
-              [](const HintEvent& a, const HintEvent& b) {
-                return a.offset < b.offset;
-              });
-    return out;
-  }
-};
-
-bool SameEvent(const HintEvent& a, const HintEvent& b) {
-  return a.session_id == b.session_id && a.kind == b.kind &&
-         a.offset == b.offset && a.stored_size == b.stored_size;
+// What a correct hint for the scanned segment must contain: the latest
+// record per session, by offset.
+std::vector<HintEntry> ExpectedHint(
+    const std::map<std::uint64_t, HintEntry>& latest) {
+  std::vector<HintEntry> out;
+  for (const auto& [session_id, entry] : latest) out.push_back(entry);
+  std::sort(out.begin(), out.end(),
+            [](const HintEntry& a, const HintEntry& b) {
+              return a.offset < b.offset;
+            });
+  return out;
 }
 
 struct Findings {
@@ -171,8 +122,9 @@ int FsckDirectory(const std::string& path, bool verbose,
   std::printf("store_fsck: %s (%zu segment%s%s)\n", path.c_str(), ids.size(),
               ids.size() == 1 ? "" : "s", saw_lock ? "" : ", no LOCK file");
 
-  KeydirShadow keydir;
-  std::map<RecordKind, std::size_t> by_kind;
+  // Shadow of the store's keydir: session id -> stored size of its latest
+  // record (for the dead-byte split).
+  std::map<std::uint64_t, std::uint64_t> keydir;
   std::uint64_t total_payload = 0;
   std::uint64_t total_stored = 0;  // Record bytes incl. headers, all segments.
   std::size_t total_records = 0;
@@ -181,19 +133,18 @@ int FsckDirectory(const std::string& path, bool verbose,
     const std::string seg_path = path + "/" + SegmentFileName(id);
     const std::uint64_t file_size = fs::file_size(seg_path, ec);
 
-    ExpectedHint expected;
+    std::map<std::uint64_t, HintEntry> latest;  // In this segment.
     ReplayStats stats;
     RecordLogReader reader(seg_path);
     Status st = reader.Replay(
         [&](const Record& rec) {
-          ++by_kind[rec.kind];
-          expected.Track(rec);
-          keydir.Apply(rec);
+          latest[rec.session_id] =
+              HintEntry{rec.session_id, rec.offset, rec.StoredSize()};
+          keydir[rec.session_id] = rec.StoredSize();
           if (verbose) {
             std::printf("  [%06" PRIu64 "] @%-10" PRIu64 " session=%-6"
-                        PRIu64 " kind=%x (%s) payload=%zu bytes\n",
-                        id, rec.offset, rec.session_id, rec.kind,
-                        KindName(rec.kind), rec.payload.size());
+                        PRIu64 " payload=%zu bytes\n",
+                        id, rec.offset, rec.session_id, rec.payload.size());
           }
           return Status::OK();
         },
@@ -211,7 +162,7 @@ int FsckDirectory(const std::string& path, bool verbose,
     }
     total_records += stats.records;
 
-    // Hint cross-check: decode, size-match, then event-by-event equality
+    // Hint cross-check: decode, size-match, then entry-by-entry equality
     // against what the scan says the hint must contain.
     const char* hint_state = "none (active or scanned at next open)";
     if (has_hint[id]) {
@@ -224,12 +175,7 @@ int FsckDirectory(const std::string& path, bool verbose,
         hint_state = "stale size (scan fallback + rewrite at next open)";
         ++findings.notes;
       } else {
-        const std::vector<HintEvent> want = expected.Collect();
-        const bool equal =
-            hint->events.size() == want.size() &&
-            std::equal(hint->events.begin(), hint->events.end(),
-                       want.begin(), SameEvent);
-        if (equal) {
+        if (hint->entries == ExpectedHint(latest)) {
           hint_state = "valid";
         } else {
           hint_state = "MISMATCH (hint disagrees with segment contents)";
@@ -245,16 +191,13 @@ int FsckDirectory(const std::string& path, bool verbose,
   }
 
   std::uint64_t live_bytes = 0;
-  for (const auto& [key, size] : keydir.live) live_bytes += size;
-  // Both sides include record headers, so superseded records *and*
-  // tombstones land in dead — the same split the engine's stats report.
+  for (const auto& [session_id, size] : keydir) live_bytes += size;
+  // Both sides include record headers, so superseded records land in
+  // dead — the same split the engine's stats report.
   const std::uint64_t dead_bytes = total_stored - live_bytes;
 
   std::printf("  records            %zu\n", total_records);
-  for (const auto& [kind, count] : by_kind) {
-    std::printf("    kind %-10x %s: %zu\n", kind, KindName(kind), count);
-  }
-  std::printf("  live keys          %zu\n", keydir.live.size());
+  std::printf("  live keys          %zu\n", keydir.size());
   std::printf("  payload bytes      %" PRIu64 "\n", total_payload);
   std::printf("  live bytes         %" PRIu64 "\n", live_bytes);
   std::printf("  dead bytes         %" PRIu64 " (%.1f%%)\n", dead_bytes,
